@@ -160,18 +160,15 @@ printPlanCacheAmortization()
                 total.convertsPlanned += stats.convertsPlanned;
                 total.planCacheHits += stats.planCacheHits;
                 total.planCacheMisses += stats.planCacheMisses;
-                total.smokeCacheHits += stats.smokeCacheHits;
             }
         }
     }
-    std::printf("%-8s %10s %10s %10s %12s\n", "pass", "planned",
-                "cache-hit", "cache-miss", "smoke-hit");
-    std::printf("%-8s %10d %10d %10d %12d\n", "cold",
-                pass1.convertsPlanned, pass1.planCacheHits,
-                pass1.planCacheMisses, pass1.smokeCacheHits);
-    std::printf("%-8s %10d %10d %10d %12d\n", "warm",
-                pass2.convertsPlanned, pass2.planCacheHits,
-                pass2.planCacheMisses, pass2.smokeCacheHits);
+    std::printf("%-8s %10s %10s %10s\n", "pass", "planned", "cache-hit",
+                "cache-miss");
+    std::printf("%-8s %10d %10d %10d\n", "cold", pass1.convertsPlanned,
+                pass1.planCacheHits, pass1.planCacheMisses);
+    std::printf("%-8s %10d %10d %10d\n", "warm", pass2.convertsPlanned,
+                pass2.planCacheHits, pass2.planCacheMisses);
     const int looks = pass2.planCacheHits + pass2.planCacheMisses;
     std::printf("warm-pass hit rate: %.1f%% (%lld cached plan(s) "
                 "resident)\n",

@@ -243,8 +243,9 @@ checkCuteCaseWithDemotion(const CuteCase &c)
     cute::CutePlan plan = *planned;
     if (plan.hasCorePlan) {
         out.initialKind = plan.corePlan.kind;
-        // Mirror the engine: execution failures demote the core's
-        // distributed plan one rung at a time until one survives.
+        // Execution-driven demotion audit: execution failures demote
+        // the core's distributed plan one rung at a time until one
+        // survives.
         while (true) {
             auto fail = codegen::smokeExecutePlan(
                 plan.corePlan, plan.coreSrc, plan.coreDst,

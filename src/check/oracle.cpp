@@ -331,8 +331,8 @@ checkCaseWithDemotion(const ConversionCase &c)
     out.initialKind = plan.kind;
     out.finalKind = plan.kind;
 
-    // The engine's execution-triggered demotion loop, replayed here so
-    // tests can audit what the engine would have shipped.
+    // Execution-driven demotion, kept as an audit of the executors'
+    // failure paths and of the rungs below each failed plan.
     while (true) {
         auto fail = codegen::smokeExecutePlan(plan, c.src, c.dst,
                                               c.elemBytes, spec);

@@ -137,12 +137,14 @@ struct DemotionReport
 };
 
 /**
- * Mirror the engine's execution-triggered demotion on one conversion
- * case, then audit the surviving plan with the full oracle: plan the
- * case (under its failpoint set), smoke-execute, and on an
- * ExecDiagnostic re-plan one rung down via
- * codegen::demotionSitesFor until execution succeeds. This is how the
- * exec-fallback tests prove a demoted re-plan still round-trips
+ * Execution-driven demotion as an audit on one conversion case, then
+ * the full oracle on the surviving plan: plan the case (under its
+ * failpoint set), smoke-execute, and on an ExecDiagnostic re-plan one
+ * rung down via codegen::tryReplanBelow until execution succeeds. The
+ * compile path executes no plans (the planner validates them
+ * statically, codegen::validatePlan); this audit keeps the executors'
+ * failure paths and the demoted rungs proven, and is how the
+ * exec-fallback tests show a demoted re-plan still round-trips
  * bit-exactly. Planning failures propagate as exceptions, like
  * checkConversionCase.
  */

@@ -105,12 +105,121 @@ validateInputs(const LinearLayout &src, const LinearLayout &dst,
     return std::nullopt;
 }
 
+Diagnostic
+invalidPlan(const std::string &why)
+{
+    return makeDiag(DiagCode::PlannerInternalError, "plan.validate", why);
+}
+
+/** The largest value in the F2 span of `vecs`: reduce to a basis with
+ *  distinct leading bits, then take each basis vector that raises the
+ *  running XOR, highest leading bit first. */
+uint64_t
+maxInSpan(const std::vector<uint64_t> &vecs)
+{
+    std::vector<uint64_t> basis; // descending, distinct leading bits
+    for (uint64_t v : vecs) {
+        for (uint64_t b : basis)
+            v = std::min(v, v ^ b);
+        if (v != 0) {
+            basis.push_back(v);
+            std::sort(basis.rbegin(), basis.rend());
+        }
+    }
+    uint64_t best = 0;
+    for (uint64_t b : basis)
+        best = std::max(best, best ^ b);
+    return best;
+}
+
+/**
+ * The shared executors' ExecDiagnostic conditions, checked on the
+ * layout alone: an injective tensor->offset map (an aliased address
+ * loses data), vec-aligned padding, a power-of-two vec-aligned window,
+ * every vectorized access inside the padded storage, and an allocation
+ * that fits the CTA budget.
+ */
+std::optional<Diagnostic>
+validateShared(const SwizzledShared &swz, int64_t numElems, int elemBytes,
+               const sim::GpuSpec &spec)
+{
+    const LinearLayout &t2o = swz.tensorToOffset;
+    if (!t2o.isInjective())
+        return invalidPlan("tensor->offset map is not injective: two "
+                           "elements share a shared-memory address");
+    const int64_t vec = swz.vecElems();
+    if (swz.padded() &&
+        (swz.padInterval % vec != 0 || swz.padElems % vec != 0))
+        return invalidPlan("padding " + std::to_string(swz.padInterval) +
+                           "/" + std::to_string(swz.padElems) +
+                           " is not a multiple of the vectorization " +
+                           std::to_string(vec));
+    if (swz.windowed() &&
+        (!isPowerOf2(static_cast<uint64_t>(swz.windowElems)) ||
+         swz.windowElems % vec != 0))
+        return invalidPlan("window of " + std::to_string(swz.windowElems) +
+                           " elements is not a power-of-two multiple of "
+                           "the vectorization " +
+                           std::to_string(vec));
+    std::vector<uint64_t> cols;
+    for (int i = 0; i < t2o.getTotalInDimSizeLog2(); ++i)
+        cols.push_back(t2o.applyFlat(uint64_t(1) << i));
+    const int64_t lastAccess =
+        swz.padOffset(static_cast<int64_t>(maxInSpan(cols)) & ~(vec - 1));
+    const int64_t storage = swz.storageElems(numElems);
+    if (lastAccess + vec > storage)
+        return invalidPlan("access at offset " +
+                           std::to_string(lastAccess) +
+                           " overruns storage of " +
+                           std::to_string(storage));
+    const int64_t alloc = swz.allocElems(numElems);
+    if (!sim::SharedMemory::fits(spec, elemBytes, alloc))
+        return invalidPlan("allocation of " +
+                           std::to_string(alloc * elemBytes) +
+                           " bytes exceeds the CTA budget of " +
+                           std::to_string(spec.sharedMemPerCta));
+    return std::nullopt;
+}
+
+/** The shuffle executor's ExecDiagnostic conditions: a real warp, no
+ *  round wider than it, and every source lane and register pair in
+ *  range. */
+std::optional<Diagnostic>
+validateShuffle(const WarpShufflePlan &p)
+{
+    if (p.warpSize <= 0 || p.numRegsA < 0 || p.numRegsB < 0)
+        return invalidPlan("warp-shuffle plan has degenerate shape");
+    for (const auto &round : p.xfers) {
+        if (round.size() > static_cast<size_t>(p.warpSize))
+            return invalidPlan("a shuffle round addresses more lanes "
+                               "than the warp holds");
+        for (const ShuffleXfer &x : round) {
+            if (x.srcLane < 0 || x.srcLane >= p.warpSize)
+                return invalidPlan("source lane " +
+                                   std::to_string(x.srcLane) +
+                                   " outside warp of " +
+                                   std::to_string(p.warpSize));
+            for (const auto &[ra, rb] : x.regPairs) {
+                if (ra < 0 || ra >= p.numRegsA || rb < 0 ||
+                    rb >= p.numRegsB)
+                    return invalidPlan(
+                        "register pair (" + std::to_string(ra) + ", " +
+                        std::to_string(rb) + ") outside " +
+                        std::to_string(p.numRegsA) + "/" +
+                        std::to_string(p.numRegsB));
+            }
+        }
+    }
+    return std::nullopt;
+}
+
 /**
  * Price a shared candidate and fill the shared fields of a trial plan.
  * Returns a CtaBudgetExceeded Diagnostic when the candidate's actual
  * allocation (one window for windowed candidates, the whole padded
  * tensor otherwise) does not fit the CTA shared budget, so the ladder
- * demotes instead of the executor aborting. Throws only on internal
+ * demotes instead of the executor aborting, and a PlannerInternalError
+ * one when the candidate fails validateShared. Throws only on internal
  * invariant violations, which the caller turns into a
  * PlannerInternalError note.
  */
@@ -140,6 +249,10 @@ evaluateSharedCandidate(const ConversionPlan &base, SwizzledShared cand,
             "candidate allocates " + std::to_string(alloc * elemBytes) +
                 " bytes of shared memory but the CTA budget is " +
                 std::to_string(spec.sharedMemPerCta));
+    }
+    if (auto bad = validateShared(cand, numElems, elemBytes, spec)) {
+        span.arg("outcome", "invalid");
+        return *bad;
     }
     ConversionPlan trial = base;
     LinearLayout toOffset =
@@ -414,6 +527,29 @@ smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &srcIn,
     return std::nullopt;
 }
 
+std::optional<Diagnostic>
+validatePlan(const ConversionPlan &plan, const LinearLayout &src,
+             int elemBytes, const sim::GpuSpec &spec)
+{
+    switch (plan.kind) {
+      case ConversionKind::NoOp:
+      case ConversionKind::RegisterPermute:
+        return std::nullopt;
+      case ConversionKind::WarpShuffle:
+        if (!plan.shuffle.has_value())
+            return invalidPlan("warp-shuffle plan carries no schedule");
+        return validateShuffle(*plan.shuffle);
+      case ConversionKind::SharedMemory:
+      case ConversionKind::SharedPadded:
+      case ConversionKind::SharedScalar:
+        if (!plan.shared.has_value())
+            return invalidPlan("shared plan carries no layout");
+        return validateShared(*plan.shared, src.getTotalOutDimSize(),
+                              elemBytes, spec);
+    }
+    return std::nullopt;
+}
+
 namespace {
 // Ladder positions, used to resume planning strictly below a failed
 // rung. Matches the rung order in tryPlanConversionImpl.
@@ -630,6 +766,10 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         evals.inc();
         if (!skipped("plan.warp-shuffle")) {
             auto shuffle = planWarpShuffle(src, dst, elemBytes, spec);
+            if (shuffle) {
+                if (auto bad = validateShuffle(*shuffle))
+                    shuffle = *bad;
+            }
             if (shuffle) {
                 plan.kind = ConversionKind::WarpShuffle;
                 plan.shuffle = std::move(*shuffle);

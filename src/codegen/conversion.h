@@ -143,11 +143,11 @@ ConversionPlan planConversion(const LinearLayout &src,
  * Re-plan after an execution failure of a plan of kind `failed`: resume
  * the fallback ladder at the rung strictly below it, without evaluating
  * (or even opening spans for) the rungs at or above. This is what the
- * engine's execution-triggered demotion uses; it is equivalent to
- * re-running tryPlanConversion under the demotionSitesFor(failed)
- * knockout set, minus the wasted rung evaluations and the
- * FailpointInjected notes that knockout would leave in the plan's
- * diagnostics. Returns a Diagnostic when `failed` is the terminal
+ * oracle's demotion audit (check::checkCaseWithDemotion) uses; it is
+ * equivalent to re-running tryPlanConversion under the
+ * demotionSitesFor(failed) knockout set, minus the wasted rung
+ * evaluations and the FailpointInjected notes that knockout would
+ * leave in the plan's diagnostics. Returns a Diagnostic when `failed` is the terminal
  * SharedScalar rung (nowhere left to demote to) or when every remaining
  * rung also fails.
  */
@@ -170,8 +170,10 @@ std::vector<std::string> plannerFailpointSites();
  * (exec.shuffle.*, exec.gather.*, exec.shared.*). These guard the
  * execution-time error paths rather than planning rungs; activating one
  * with a limit of 1 fails exactly one execution attempt, so a demoted
- * re-plan's smoke execution succeeds. Used by llfuzz
- * --failpoint-coverage and the exec-fallback tests.
+ * re-plan's smoke execution succeeds. Nothing on the compile path
+ * executes plans, so these fire only under the oracle's demotion audit
+ * and direct executor calls. Used by llfuzz --failpoint-coverage and
+ * the exec-fallback tests.
  */
 std::vector<std::string> executionFailpointSites();
 
@@ -179,9 +181,28 @@ std::vector<std::string> executionFailpointSites();
  * The planner-failpoint knockout set that forces a re-plan strictly
  * below `kind` on the fallback ladder (every rung at or above it is
  * disabled). Empty for SharedScalar: the terminal rung has nowhere to
- * demote to, so an execution failure there is an engine failure.
+ * demote to, so an execution failure there ends the demotion audit.
  */
 std::vector<std::string> demotionSitesFor(ConversionKind kind);
+
+/**
+ * Check `plan` statically against the conditions its executors report
+ * as ExecDiagnostics, without moving data, in time linear in the plan.
+ * Shared kinds: the tensor->offset map is injective (rank equals its
+ * input bits), padding and window are vec-aligned and the window is a
+ * power of two, every vectorized access lies inside the padded
+ * storage, and the allocation fits the CTA. WarpShuffle: a positive
+ * warp size, no round wider than the warp, and every source lane and
+ * register pair in range. NoOp and RegisterPermute have no executor
+ * and pass. The planner runs the same checks on every shared candidate
+ * and shuffle schedule it builds, so a planned conversion always
+ * passes; the first violation comes back as a PlannerInternalError
+ * Diagnostic (stage "plan.validate").
+ */
+std::optional<Diagnostic> validatePlan(const ConversionPlan &plan,
+                                       const LinearLayout &src,
+                                       int elemBytes,
+                                       const sim::GpuSpec &spec);
 
 /**
  * Execute `plan` once on tagged data to prove its executors are sound
@@ -190,7 +211,9 @@ std::vector<std::string> demotionSitesFor(ConversionKind kind);
  * simulated round trip. NoOp and RegisterPermute have no executor and
  * trivially pass. Returns the first executor failure, or nullopt when
  * execution succeeded — correctness of the *data* is the oracle's job
- * (src/check), not this smoke test's.
+ * (src/check), not this smoke test's. Not part of the compile path
+ * (planning checks plans with validatePlan); the oracle's demotion
+ * audit, llstat replay and the benchmark's replay use it.
  */
 std::optional<ExecDiagnostic>
 smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "codegen/conversion.h"
 #include "codegen/shuffle.h"
@@ -10,7 +9,7 @@
 #include "engine/shape_transfer.h"
 #include "layout/dims.h"
 #include "service/cute_service.h"
-#include "service/plan_cache.h"
+#include "service/conversion_service.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -83,9 +82,7 @@ LayoutEngine::planCuteConversion(const cute::CuteLayout &src,
                                                 options_.spec);
     if (outcome.planned())
         return std::move(*outcome.plan);
-    return makeDiag(outcome.execFailed ? DiagCode::ExecutionFailed
-                                       : DiagCode::InvalidInput,
-                    "engine.cute", outcome.error);
+    return makeDiag(DiagCode::InvalidInput, "engine.cute", outcome.error);
 }
 
 void
@@ -341,11 +338,6 @@ void
 LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
 {
     trace::Span phase("engine.plan-conversions", "engine");
-    // Successful smoke verdicts from earlier ops in this run, keyed by
-    // (src, dst, elemBytes, kind). Failures are never cached: the
-    // demotion loop needs fresh diagnostics and each failpoint
-    // activation's limited shots must be consumed by real executions.
-    std::map<std::string, bool> smokeOk;
     for (int i = 0; i < f.numOps(); ++i) {
         ir::Op &o = f.op(i);
         if (o.erased || o.kind != OpKind::ConvertLayout)
@@ -354,12 +346,12 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         opSpan.arg("op", i);
         const auto &have = f.value(o.operands[0]).layout;
         const auto &want = f.value(o.results[0]).layout;
+        const std::string where = "op " + std::to_string(i);
         if (!have || !want) {
             o.tag = "convert:unplanned";
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) +
-                ": conversion endpoint is missing a layout");
+                where + ": conversion endpoint is missing a layout");
             opSpan.arg("outcome", "unplanned");
             continue;
         }
@@ -367,181 +359,34 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         int elemBytes = std::max(1, bitWidth(type.dtype) / 8);
         LinearLayout dst = want->transposeOuts(have->getOutDimNames());
 
-        // Shared plan cache: a hit serves the whole op — memoized plan
-        // or memoized rejection — without planning or smoke-executing,
-        // so the per-run smoke cache below is never consulted and the
-        // two caches cannot double count.
-        std::optional<service::PlanKey> cacheKey;
+        auto outcome = service::serveConversion(
+            options_.planCache, *have, dst, elemBytes, options_.spec);
         if (options_.planCache != nullptr) {
-            cacheKey = options_.planCache->key(*have, dst, elemBytes,
-                                               options_.spec);
-            if (auto cached = options_.planCache->lookup(*cacheKey)) {
-                if (cached->negative()) {
-                    o.tag = "convert:unplanned";
-                    ++stats.planFailures;
-                    ++stats.planCacheNegativeHits;
-                    stats.planDiagnostics.push_back(
-                        "op " + std::to_string(i) + " (plan-cache): " +
-                        cached->rejection->toString());
-                    opSpan.arg("outcome", "unplanned");
-                    opSpan.arg("plan_cache", "negative-hit");
-                } else {
-                    const codegen::ConversionPlan &hit = *cached->plan;
-                    o.tag = "convert:" + codegen::toString(hit.kind);
-                    ++stats.convertsPlanned;
-                    ++stats.planCacheHits;
-                    if (!hit.diagnostics.empty()) {
-                        ++stats.planFallbacks;
-                        stats.planDiagnostics.push_back(
-                            "op " + std::to_string(i) + " (" + o.tag +
-                            "): " + hit.diagnostics.toString());
-                    }
-                    if (opSpan.active()) {
-                        opSpan.arg("outcome", o.tag);
-                        opSpan.arg("plan_cache", "hit");
-                    }
-                }
-                continue;
-            }
-            ++stats.planCacheMisses;
+            if (!outcome.fromCache)
+                ++stats.planCacheMisses;
+            else if (outcome.cachedRejection)
+                ++stats.planCacheNegativeHits;
+            else
+                ++stats.planCacheHits;
         }
-
-        auto tryPlan = [&]() -> Result<codegen::ConversionPlan> {
-            try {
-                return codegen::tryPlanConversion(*have, dst, elemBytes,
-                                                  options_.spec);
-            } catch (const std::exception &e) {
-                return makeDiag(DiagCode::PlannerInternalError,
-                                "engine.plan",
-                                std::string("planner threw: ") +
-                                    e.what());
-            }
-        };
-        auto plan = tryPlan();
-        if (!plan.ok()) {
-            // Deterministic rejections are worth memoizing; the cache
-            // itself refuses every other code and anything planned
-            // while a failpoint is active.
-            if (cacheKey &&
-                plan.diag().code == DiagCode::InvalidInput)
-                options_.planCache->insertRejection(*cacheKey,
-                                                    plan.diag());
+        if (!outcome.planned()) {
             o.tag = "convert:unplanned";
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + ": " +
-                plan.diag().toString());
+                where + (outcome.cachedRejection ? " (plan-cache): "
+                                                 : ": ") +
+                outcome.error);
             opSpan.arg("outcome", "unplanned");
             continue;
         }
-
-        // Execution-triggered demotion: smoke-execute the plan; when an
-        // executor reports an ExecDiagnostic, resume planning at the
-        // rung strictly below the failing plan's (tryReplanBelow — the
-        // rungs above are not re-evaluated). The resume point moves
-        // strictly toward the terminal scalar rung, so this loop
-        // terminates.
-        bool execDead = false;
-        int demotions = 0;
-        while (true) {
-            trace::Span iter("convert.demotion-iter", "engine");
-            if (iter.active())
-                iter.arg("kind", codegen::toString(plan->kind));
-            std::string smokeKey;
-            if (options_.cacheSmokeResults) {
-                smokeKey = have->toString() + "|" + dst.toString() +
-                           "|" + std::to_string(elemBytes) + "|" +
-                           codegen::toString(plan->kind);
-                if (smokeOk.count(smokeKey)) {
-                    ++stats.smokeCacheHits;
-                    static auto &hits =
-                        metrics::counter("engine.smoke.cache_hits");
-                    hits.inc();
-                    iter.arg("outcome", "cache-hit");
-                    break;
-                }
-            }
-            auto fail = codegen::smokeExecutePlan(
-                *plan, *have, dst, elemBytes, options_.spec);
-            if (!fail.has_value()) {
-                if (options_.cacheSmokeResults)
-                    smokeOk.emplace(std::move(smokeKey), true);
-                iter.arg("outcome", "smoke-ok");
-                break;
-            }
-            stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + " (convert:" +
-                codegen::toString(plan->kind) +
-                "): execution failed: " + fail->toString());
-            if (plan->kind == codegen::ConversionKind::SharedScalar) {
-                // Terminal rung failed while executing: nothing below
-                // it to demote to.
-                execDead = true;
-                iter.arg("outcome", "terminal-failure");
-                break;
-            }
-            auto replanned =
-                [&]() -> Result<codegen::ConversionPlan> {
-                try {
-                    return codegen::tryReplanBelow(plan->kind, *have,
-                                                   dst, elemBytes,
-                                                   options_.spec);
-                } catch (const std::exception &e) {
-                    return makeDiag(DiagCode::PlannerInternalError,
-                                    "engine.replan",
-                                    std::string("planner threw: ") +
-                                        e.what());
-                }
-            }();
-            if (!replanned.ok()) {
-                stats.planDiagnostics.push_back(
-                    "op " + std::to_string(i) +
-                    ": demoted re-plan failed: " +
-                    replanned.diag().toString());
-                execDead = true;
-                iter.arg("outcome", "replan-failure");
-                break;
-            }
-            ++stats.execFallbacks;
-            ++demotions;
-            static auto &demoted =
-                metrics::counter("engine.exec_fallbacks");
-            demoted.inc();
-            plan = std::move(replanned);
-            if (iter.active()) {
-                iter.arg("outcome", "demoted");
-                iter.arg("to_kind", codegen::toString(plan->kind));
-            }
-            stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + ": demoted to convert:" +
-                codegen::toString(plan->kind) +
-                " after execution failure");
-        }
-        if (execDead) {
-            o.tag = "convert:unplanned";
-            ++stats.execFailures;
-            opSpan.arg("outcome", "exec-failure");
-            continue;
-        }
-
-        // Only undemoted plans are offered to the shared cache: a plan
-        // that survived demotion encodes this run's execution failures,
-        // not the pure planning function of the key. The cache applies
-        // its own failpoint policy on top.
-        if (cacheKey && demotions == 0)
-            options_.planCache->insert(*cacheKey, *plan);
-
-        o.tag = "convert:" + codegen::toString(plan->kind);
+        o.tag = "convert:" + codegen::toString(outcome.plan->kind);
         ++stats.convertsPlanned;
-        if (opSpan.active()) {
-            opSpan.arg("outcome", o.tag);
-            opSpan.arg("demotions", demotions);
-        }
-        if (!plan->diagnostics.empty()) {
+        opSpan.arg("outcome", o.tag);
+        if (!outcome.plan->diagnostics.empty()) {
             ++stats.planFallbacks;
             stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + " (" + o.tag +
-                "): " + plan->diagnostics.toString());
+                where + " (" + o.tag +
+                "): " + outcome.plan->diagnostics.toString());
         }
     }
 }
@@ -691,7 +536,6 @@ LayoutEngine::run(ir::Function &f)
     mirror("engine.plan_fallbacks", stats.planFallbacks);
     mirror("engine.plan_failures", stats.planFailures);
     mirror("engine.transfer_fallbacks", stats.transferFallbacks);
-    mirror("engine.exec_failures", stats.execFailures);
     mirror("engine.plan_cache_hits", stats.planCacheHits);
     mirror("engine.plan_cache_negative_hits",
            stats.planCacheNegativeHits);
@@ -704,8 +548,6 @@ LayoutEngine::run(ir::Function &f)
         metrics::counter("synth.runs").inc();
     static auto &runsC = metrics::counter("engine.runs");
     runsC.inc();
-    // engine.exec_fallbacks and engine.smoke.cache_hits are counted at
-    // their sites in planConversions.
 
     // The per-run metric delta: every registry counter that moved while
     // this run was underway.
@@ -720,7 +562,6 @@ LayoutEngine::run(ir::Function &f)
     if (span.active()) {
         span.arg("converts_planned", stats.convertsPlanned);
         span.arg("converts_eliminated", stats.convertsEliminated);
-        span.arg("exec_fallbacks", stats.execFallbacks);
     }
     return stats;
 }

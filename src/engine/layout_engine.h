@@ -10,7 +10,11 @@
  * conversions that linear layouts can prove to be no-ops (including
  * across layout *kinds*, which the legacy system could not compare) and
  * hoists conversions through shape ops when that turns them into no-ops
- * (rematerialization).
+ * (rematerialization). Every surviving conversion is then lowered
+ * through service::serveConversion — the same cache-aware plan path the
+ * compilation service uses. The planner checks each plan statically
+ * (codegen::validatePlan) as it builds it; nothing on this compile path
+ * executes a plan on data.
  */
 
 #ifndef LL_ENGINE_LAYOUT_ENGINE_H
@@ -38,23 +42,13 @@ struct EngineOptions
 {
     sim::GpuSpec spec = sim::GpuSpec::gh200();
     int numWarps = 4;
-    /** Reuse smoke-execution verdicts across identical conversions:
-     *  within one run, two ConvertLayout ops with the same
-     *  (src, dst, elemBytes, kind) share one successful smoke execution
-     *  (failures are never cached — the demotion loop needs fresh
-     *  diagnostics and failpoint semantics). Hits are counted in
-     *  EngineStats::smokeCacheHits and the "engine.smoke.cache_hits"
-     *  metric. */
-    bool cacheSmokeResults = true;
     /** Shared, sharded plan cache (borrowed, not owned; nullptr
-     *  disables). A cache hit serves the memoized plan — or a memoized
-     *  InvalidInput rejection — without planning or smoke-executing
-     *  anything, and is counted in EngineStats::planCacheHits /
-     *  planCacheNegativeHits, distinct from the per-run smoke-verdict
-     *  cache above (a plan-cache hit never touches the smoke cache, so
-     *  the two never double count one op). Plans that survived
-     *  demotion, were shaped by failpoints, or were planned while any
-     *  failpoint was active are never inserted. */
+     *  disables). Every ConvertLayout op is planned through
+     *  service::serveConversion with this cache, so a hit serves the
+     *  memoized plan — or a memoized InvalidInput rejection — without
+     *  planning anything, counted in EngineStats::planCacheHits /
+     *  planCacheNegativeHits. Plans shaped by failpoints or deadlines,
+     *  or planned while any failpoint was active, are never inserted. */
     service::PlanCache *planCache = nullptr;
     /** Run the whole-kernel anchor-assignment search (src/synth) before
      *  propagation and adopt its winning assignment when the true cost
@@ -87,21 +81,15 @@ struct EngineStats
     /** Shape-transfer functions that threw (or were failpointed via
      *  "engine.transfer") and fell back to the anchor layout. */
     int transferFallbacks = 0;
-    /** Conversions whose smoke execution failed and were successfully
-     *  re-planned one rung further down the ladder (counted once per
-     *  demotion step, so one op can contribute several). */
-    int execFallbacks = 0;
-    /** Conversions whose execution failed with no rung left to demote
-     *  to (or whose demoted re-plan failed); the op is tagged
-     *  "convert:unplanned" and the engine carries on. */
+    /** Conversions whose execution failed. Nothing on the compile path
+     *  executes a plan (the planner validates plans statically), so
+     *  the engine and the service never write this; it stays zero and
+     *  is kept for readers that still sum it. */
     int execFailures = 0;
-    /** Smoke executions skipped because an identical conversion already
-     *  passed earlier in the run (see EngineOptions::cacheSmokeResults). */
-    int smokeCacheHits = 0;
     /** Conversions served whole from the shared plan cache
-     *  (EngineOptions::planCache): no planning, no smoke execution, no
-     *  smoke-cache involvement. Mirrored as "engine.plan_cache_hits";
-     *  the cache's own counters live under "service.plan_cache.*". */
+     *  (EngineOptions::planCache), without planning. Mirrored as
+     *  "engine.plan_cache_hits"; the cache's own counters live under
+     *  "service.plan_cache.*". */
     int planCacheHits = 0;
     /** Conversions rejected from a memoized InvalidInput entry; also
      *  counted in planFailures (the op is tagged convert:unplanned). */
@@ -198,9 +186,10 @@ class LayoutEngine
     std::map<int, LinearLayout> synthesizeAssignment(const ir::Function &f,
                                                      EngineStats &stats);
 
-    /** Lower every surviving ConvertLayout to a ConversionPlan and tag
-     *  it "convert:<kind>". A plan that cannot be built downgrades the
-     *  op to "convert:unplanned" and is recorded in the stats; this
+    /** Lower every surviving ConvertLayout to a ConversionPlan via
+     *  service::serveConversion and tag it "convert:<kind>". A plan
+     *  that cannot be built downgrades the op to "convert:unplanned"
+     *  and is recorded in the stats; nothing is executed, and this
      *  pass never throws. */
     void planConversions(ir::Function &f, EngineStats &stats);
 

@@ -121,14 +121,12 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
             ir::Function f = req.build();
             engine::LayoutEngine eng{ctx.engineOptions};
             resp.stats = eng.run(f);
-            resp.ok = resp.stats.planFailures == 0 &&
-                      resp.stats.execFailures == 0;
+            resp.ok = resp.stats.planFailures == 0;
             resp.outcome = resp.ok ? RequestOutcome::Planned
                                    : RequestOutcome::Failed;
             if (!resp.ok)
                 resp.error = "engine downgraded " +
-                             std::to_string(resp.stats.planFailures +
-                                            resp.stats.execFailures) +
+                             std::to_string(resp.stats.planFailures) +
                              " conversion(s) to convert:unplanned";
         } else if (req.conversion) {
             const ConversionRequest &c = *req.conversion;
@@ -158,15 +156,12 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
                 } else {
                     if (ctx.cache != nullptr)
                         resp.stats.planCacheMisses = 1;
-                    if (outcome.execFailed)
-                        resp.stats.execFailures = 1;
-                    else if (outcome.plan)
+                    if (outcome.plan)
                         resp.stats.convertsPlanned = 1;
                     else
                         resp.stats.planFailures = 1;
                     resp.freshPlan = flight.role == FlightRole::Leader &&
-                                     outcome.plan != nullptr &&
-                                     !outcome.execFailed;
+                                     outcome.plan != nullptr;
                 }
             }
         } else {
@@ -352,9 +347,6 @@ accumulateStats(engine::EngineStats &into,
     into.planFallbacks += from.planFallbacks;
     into.planFailures += from.planFailures;
     into.transferFallbacks += from.transferFallbacks;
-    into.execFallbacks += from.execFallbacks;
-    into.execFailures += from.execFailures;
-    into.smokeCacheHits += from.smokeCacheHits;
     into.planCacheHits += from.planCacheHits;
     into.planCacheNegativeHits += from.planCacheNegativeHits;
     into.planCacheMisses += from.planCacheMisses;

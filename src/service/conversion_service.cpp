@@ -59,17 +59,6 @@ planAndPublish(PlanCache *cache, const PlanKey *key,
         return out;
     }
 
-    auto fail = codegen::smokeExecutePlan(*planned, src, dst, elemBytes,
-                                          spec);
-    if (fail.has_value()) {
-        out.execFailed = true;
-        out.error = fail->toString();
-        out.plan = std::make_shared<const codegen::ConversionPlan>(
-            std::move(*planned));
-        span.arg("outcome", "exec-failed");
-        return out;
-    }
-
     out.plan = std::make_shared<const codegen::ConversionPlan>(
         std::move(*planned));
     if (key)

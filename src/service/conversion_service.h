@@ -4,14 +4,15 @@
  *
  * serveConversion() is what the compilation service does for one
  * conversion request: consult the shared plan cache, and on a miss run
- * the planner plus a smoke execution before publishing the plan for
- * every later requester. It mirrors how the layout engine treats one
- * ConvertLayout op (llstat's replayCase, made amortized); the engine
- * itself integrates the same cache through
- * engine::EngineOptions::planCache, with its richer demotion loop.
+ * the planner (which statically validates every candidate it builds,
+ * codegen::validatePlan) before publishing the plan for every later
+ * requester. Nothing here executes a plan on data. The layout engine
+ * plans every ConvertLayout op through this same function
+ * (engine::EngineOptions::planCache is the `cache` argument), so the
+ * engine, the service and the cute path share one plan path.
  *
  * Span: "service.conversion" (cat "service") with an "outcome" arg of
- * cache-hit | cached-rejection | planned | plan-failed | exec-failed.
+ * cache-hit | cached-rejection | planned | plan-failed.
  */
 
 #ifndef LL_SERVICE_CONVERSION_SERVICE_H
@@ -33,13 +34,10 @@ struct ConversionOutcome
     bool fromCache = false;
     /** The failure was served from a memoized InvalidInput entry. */
     bool cachedRejection = false;
-    /** Planning succeeded but the smoke execution failed (the plan is
-     *  still returned for diagnosis; it was not cached). */
-    bool execFailed = false;
-    /** Planner / executor failure rendering; empty on success. */
+    /** Planner failure rendering; empty on success. */
     std::string error;
 
-    bool planned() const { return plan != nullptr && !execFailed; }
+    bool planned() const { return plan != nullptr; }
 };
 
 /**
@@ -53,7 +51,7 @@ ConversionOutcome serveConversion(PlanCache *cache,
                                   const sim::GpuSpec &spec);
 
 /**
- * The post-lookup half of serveConversion: plan, smoke-execute, publish
+ * The post-lookup half of serveConversion: plan, then publish
  * to `cache` under `key` (both may be null — the --no-cache path). The
  * caller has already taken the cache miss; this never performs (or
  * counts) a lookup. The singleflight leader calls this after its

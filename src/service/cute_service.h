@@ -44,12 +44,10 @@ struct CuteConversionOutcome
     bool coreFromCache = false;
     /** The core failure was served from a memoized rejection. */
     bool cachedRejection = false;
-    /** Core planning succeeded but its smoke execution failed. */
-    bool execFailed = false;
     /** Failure rendering; empty on success. */
     std::string error;
 
-    bool planned() const { return plan.has_value() && !execFailed; }
+    bool planned() const { return plan.has_value(); }
 };
 
 /**

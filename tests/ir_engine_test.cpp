@@ -354,50 +354,6 @@ TEST(CostModel, CrossWarpReductionPaysSharedRoundTrip)
     EXPECT_GE(cost.localStores, 1); // partials through shared memory
 }
 
-TEST(Engine, SmokeCacheDeduplicatesIdenticalConversions)
-{
-    // Two dots over the same operands: each dot wants the same
-    // blocked -> MMA-input conversions, so the second op's smoke
-    // executions are pure repeats of the first's. With caching on, the
-    // repeats must be served from the per-run cache (and counted); with
-    // caching off, the counter must stay zero. Both runs must plan
-    // every conversion either way — the cache skips re-execution, never
-    // planning.
-    auto build = [] {
-        Function f("twin_gemm");
-        int a = f.load({DType::F16, {64, 64}});
-        int b = f.load({DType::F16, {64, 64}});
-        int c = f.dot(a, b, DType::F32);
-        int d = f.dot(a, b, DType::F32);
-        f.store(c);
-        f.store(d);
-        return f;
-    };
-
-    EngineOptions cached{sim::GpuSpec::gh200(), 4};
-    ASSERT_TRUE(cached.cacheSmokeResults); // caching is the default
-    Function f1 = build();
-    auto statsCached = LayoutEngine(cached).run(f1);
-    EXPECT_GE(statsCached.smokeCacheHits, 1);
-    EXPECT_EQ(statsCached.execFailures, 0);
-    // The registry-backed mirror must agree with the struct field.
-    auto it = statsCached.metrics.find("engine.smoke.cache_hits");
-    ASSERT_NE(it, statsCached.metrics.end());
-    EXPECT_EQ(it->second, statsCached.smokeCacheHits);
-
-    EngineOptions uncached{sim::GpuSpec::gh200(), 4};
-    uncached.cacheSmokeResults = false;
-    Function f2 = build();
-    auto statsUncached = LayoutEngine(uncached).run(f2);
-    EXPECT_EQ(statsUncached.smokeCacheHits, 0);
-    EXPECT_EQ(statsUncached.metrics.count("engine.smoke.cache_hits"),
-              0u);
-    // Same function, same planning outcome — only the execution count
-    // differs.
-    EXPECT_EQ(statsUncached.convertsPlanned, statsCached.convertsPlanned);
-    EXPECT_EQ(statsUncached.planFailures, statsCached.planFailures);
-}
-
 } // namespace
 } // namespace engine
 } // namespace ll

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <random>
 #include <sstream>
 
@@ -19,6 +21,7 @@
 #include "codegen/shuffle.h"
 #include "engine/layout_engine.h"
 #include "layout/dims.h"
+#include "support/failpoint.h"
 
 namespace ll {
 namespace {
@@ -348,6 +351,132 @@ TEST(LLFuzzRegression, Mi250WavefrontsCountSixtyFourLaneGroups)
             EXPECT_TRUE(report.audited);
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Static plan validation (codegen::validatePlan)
+// ----------------------------------------------------------------------
+
+std::vector<check::ConversionCase>
+corpusCases()
+{
+    std::vector<std::string> paths;
+    for (const auto &e :
+         std::filesystem::directory_iterator(LL_CORPUS_DIR)) {
+        if (e.path().extension() == ".txt")
+            paths.push_back(e.path().string());
+    }
+    std::sort(paths.begin(), paths.end());
+    std::vector<check::ConversionCase> out;
+    for (const auto &p : paths)
+        out.push_back(check::readCaseFile(p));
+    return out;
+}
+
+/** Every rung-knockout set the ladder can be forced through: none
+ *  (the terminal rung's set is empty) up to "everything above the
+ *  scalar rung". */
+const std::vector<codegen::ConversionKind> kKnockoutKinds = {
+    codegen::ConversionKind::NoOp,
+    codegen::ConversionKind::RegisterPermute,
+    codegen::ConversionKind::WarpShuffle,
+    codegen::ConversionKind::SharedMemory,
+    codegen::ConversionKind::SharedPadded,
+    codegen::ConversionKind::SharedScalar,
+};
+
+codegen::ConversionPlan
+planUnder(const check::ConversionCase &c, codegen::ConversionKind knockout)
+{
+    auto sites = c.failpoints;
+    for (const auto &s : codegen::demotionSitesFor(knockout))
+        sites.push_back(s);
+    failpoint::ScopedSet guard(sites);
+    return codegen::planConversion(c.src, c.dst, c.elemBytes, c.spec());
+}
+
+TEST(Validator, AcceptsEveryCorpusPlanUnderEveryKnockout)
+{
+    const auto cases = corpusCases();
+    ASSERT_EQ(cases.size(), 40u);
+    for (const auto &c : cases) {
+        for (auto knockout : kKnockoutKinds) {
+            auto plan = planUnder(c, knockout);
+            auto bad =
+                codegen::validatePlan(plan, c.src, c.elemBytes, c.spec());
+            EXPECT_FALSE(bad.has_value())
+                << c.summary << " below " << toString(knockout) << ": "
+                << bad->toString();
+        }
+    }
+}
+
+TEST(Validator, RejectsEverySwizzleAliasedSharedPlan)
+{
+    int corrupted = 0;
+    for (const auto &c : corpusCases()) {
+        for (auto knockout : kKnockoutKinds) {
+            auto plan = planUnder(c, knockout);
+            if (!check::injectSwizzleAliasBug(plan))
+                continue;
+            ++corrupted;
+            auto bad =
+                codegen::validatePlan(plan, c.src, c.elemBytes, c.spec());
+            ASSERT_TRUE(bad.has_value())
+                << c.summary << " below " << toString(knockout);
+            EXPECT_EQ(bad->code, DiagCode::PlannerInternalError);
+            EXPECT_EQ(bad->stage, "plan.validate");
+        }
+    }
+    // Every case reaches a shared rung under the deeper knockouts.
+    EXPECT_GE(corrupted, 40 * 3);
+}
+
+TEST(Validator, RejectsOutOfRangeShuffleSchedules)
+{
+    // Same warp tiling, different thread/register split: a conversion
+    // that plans to the shuffle rung on gh200.
+    triton::BlockedEncoding a;
+    a.sizePerThread = {1, 4};
+    a.threadsPerWarp = {8, 4};
+    a.warpsPerCta = {2, 2};
+    a.order = {1, 0};
+    triton::BlockedEncoding b = a;
+    b.sizePerThread = {4, 1};
+    b.threadsPerWarp = {2, 16};
+    const triton::Shape shape = {16, 64};
+    const LinearLayout src = a.toLinearLayout(shape);
+    const auto spec = sim::GpuSpec::gh200();
+    const auto plan =
+        codegen::planConversion(src, b.toLinearLayout(shape), 2, spec);
+    ASSERT_EQ(plan.kind, codegen::ConversionKind::WarpShuffle);
+    ASSERT_FALSE(codegen::validatePlan(plan, src, 2, spec).has_value());
+    ASSERT_FALSE(plan.shuffle->xfers.empty());
+    ASSERT_FALSE(plan.shuffle->xfers[0].empty());
+    ASSERT_FALSE(plan.shuffle->xfers[0][0].regPairs.empty());
+
+    auto rejects = [&](auto &&corrupt) {
+        codegen::ConversionPlan bad = plan;
+        corrupt(*bad.shuffle);
+        auto diag = codegen::validatePlan(bad, src, 2, spec);
+        return diag.has_value() &&
+               diag->code == DiagCode::PlannerInternalError;
+    };
+    EXPECT_TRUE(rejects([](codegen::WarpShufflePlan &p) {
+        p.xfers[0][0].srcLane = p.warpSize;
+    }));
+    EXPECT_TRUE(rejects([](codegen::WarpShufflePlan &p) {
+        p.xfers[0][0].srcLane = -1;
+    }));
+    EXPECT_TRUE(rejects([](codegen::WarpShufflePlan &p) {
+        p.xfers[0][0].regPairs[0].first = p.numRegsA;
+    }));
+    EXPECT_TRUE(rejects([](codegen::WarpShufflePlan &p) {
+        p.xfers[0][0].regPairs[0].second = p.numRegsB;
+    }));
+    EXPECT_TRUE(rejects([](codegen::WarpShufflePlan &p) {
+        p.warpSize = 0;
+    }));
 }
 
 } // namespace

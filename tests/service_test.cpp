@@ -463,11 +463,11 @@ TEST_F(ServiceTest, StressInternerAndCacheUnderConcurrentEviction)
     EXPECT_LE(interner.size(), 5 + kKeys);
 }
 
-// The engine's two caches must stay distinguishable: a shared-plan-
-// cache hit skips planning and smoke execution entirely (and never
-// touches the per-run smoke-verdict cache), so a second engine run
-// over the same kernel serves every conversion from the plan cache
-// with zero smoke-cache hits — no double counting anywhere.
+// A shared-plan-cache hit skips planning entirely, so a second engine
+// run over the same kernel serves every conversion from the plan cache
+// and counts each op exactly once (hit or miss). The name dates from a
+// per-run smoke-verdict cache the engine no longer has: nothing on the
+// compile path executes plans, so the plan cache is the only one left.
 TEST_F(ServiceTest, EngineDistinguishesPlanCacheFromSmokeCache)
 {
     auto suite = kernels::allKernels();
@@ -507,9 +507,6 @@ TEST_F(ServiceTest, EngineDistinguishesPlanCacheFromSmokeCache)
     EXPECT_EQ(run2.convertsPlanned, run1.convertsPlanned);
     EXPECT_EQ(run2.planCacheHits, run1.convertsPlanned);
     EXPECT_EQ(run2.planCacheMisses, 0);
-    EXPECT_EQ(run2.smokeCacheHits, 0); // plan-cache hits preempt it
-    // The mirrored metric families stay separate too.
-    EXPECT_EQ(run2.metrics.count("engine.smoke.cache_hits"), 0u);
     EXPECT_GT(run2.metrics.at("engine.plan_cache_hits"), 0);
 
     // And the lowering is unchanged by cache placement: same tags.
