@@ -333,19 +333,6 @@ toString(ConversionKind kind)
     return "unknown";
 }
 
-std::optional<ConversionKind>
-parseConversionKind(const std::string &s)
-{
-    for (ConversionKind k :
-         {ConversionKind::NoOp, ConversionKind::RegisterPermute,
-          ConversionKind::WarpShuffle, ConversionKind::SharedMemory,
-          ConversionKind::SharedPadded, ConversionKind::SharedScalar}) {
-        if (toString(k) == s)
-            return k;
-    }
-    return std::nullopt;
-}
-
 std::string
 describePlan(const ConversionPlan &plan)
 {

@@ -57,9 +57,6 @@ enum class ConversionKind
 
 std::string toString(ConversionKind kind);
 
-/** Inverse of toString; empty for unrecognized spellings. */
-std::optional<ConversionKind> parseConversionKind(const std::string &s);
-
 struct ConversionPlan
 {
     ConversionKind kind = ConversionKind::NoOp;

@@ -13,31 +13,10 @@ namespace engine {
 
 namespace {
 
+using dims::axisBits;
 using dims::kLane;
-using dims::kReg;
 using dims::kWarp;
-
-int
-regCount(const LinearLayout &l)
-{
-    return l.hasInDim(kReg) ? l.getInDimSize(kReg) : 1;
-}
-
-int
-warpCount(const LinearLayout &l)
-{
-    return l.hasInDim(kWarp) ? l.getInDimSize(kWarp) : 1;
-}
-
-/** Global traffic of one load/store of a tensor in `layout`. The
- *  replay lives in synth::globalMemorySectors so the synthesis node
- *  cost and this estimate are one function, not two copies. */
-int64_t
-globalSectorsFor(const LinearLayout &layout, int elemBits,
-                 const sim::GpuSpec &spec)
-{
-    return synth::globalMemorySectors(layout, elemBits, spec);
-}
+using dims::regCount;
 
 } // namespace
 
@@ -71,7 +50,9 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             const auto &val = f.value(v);
             if (!val.layout)
                 break;
-            int64_t sectors = globalSectorsFor(
+            // The synthesis node cost replays the same function, so
+            // search and final pricing agree on memory traffic.
+            int64_t sectors = synth::globalMemorySectors(
                 *val.layout, bitWidth(val.type.dtype), spec);
             cost.globalSectors += sectors;
             cost.cycles += static_cast<double>(sectors) *
@@ -84,22 +65,19 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             if (!src.layout || !dst.layout)
                 break;
             ++cost.converts;
-            int elemBytes = byteWidth(src.type.dtype);
-            auto plan = codegen::tryPlanConversion(
-                *src.layout, *dst.layout, elemBytes, spec);
-            if (!plan) {
-                // An unplannable conversion gets priced like a scalar
-                // shared round trip rather than sinking the whole
-                // estimate; the engine has already tagged the op.
-                ++cost.sharedConversions;
-                ++cost.localLoads;
-                ++cost.localStores;
-                cost.cycles += spec.sharedRoundTripCycles +
-                               2.0 * regCount(*src.layout) *
-                                   spec.sharedWavefrontCycles;
-                break;
-            }
-            switch (plan->kind) {
+            // Price the plan the engine attached. Only an op without
+            // one (IR that never went through the engine, or whose
+            // planning failed) is planned here, fresh.
+            auto plan = o.plan;
+            if (!plan)
+                plan = synth::serveTensorConversion(
+                           nullptr, *src.layout, *dst.layout,
+                           src.type.dtype, spec)
+                           .plan;
+            // An unplannable conversion is priced like a scalar shared
+            // round trip rather than sinking the whole estimate.
+            switch (plan ? plan->kind
+                         : codegen::ConversionKind::SharedScalar) {
               case codegen::ConversionKind::NoOp:
                 ++cost.noopConversions;
                 break;
@@ -118,7 +96,11 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 break;
             }
             cost.cycles +=
-                plan->estimateCycles(*src.layout, elemBytes, spec);
+                plan ? plan->estimateCycles(*src.layout,
+                                            byteWidth(src.type.dtype), spec)
+                     : spec.sharedRoundTripCycles +
+                           2.0 * regCount(*src.layout) *
+                               spec.sharedWavefrontCycles;
             break;
           }
           case ir::OpKind::Dot: {
@@ -126,7 +108,7 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             const auto &tacc = f.value(o.results[0]).type;
             double macs = double(tacc.shape[0]) * tacc.shape[1] *
                           ta.shape[1];
-            bool fma = o.tag.find("fma") != std::string::npos;
+            const bool fma = synth::isFmaDot(f, o);
             double throughput =
                 fma ? double(numWarps) * spec.warpSize *
                           spec.aluOpsPerLanePerCycle
@@ -142,15 +124,8 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 break;
             const LinearLayout &l = *src.layout;
             const std::string axisDim = dims::out(o.axis);
-            int laneBits = 0, warpBits = 0;
-            if (l.hasInDim(kLane)) {
-                for (int b = 0; b < l.getInDimSizeLog2(kLane); ++b)
-                    laneBits += l.getBasis(kLane, b, axisDim) != 0;
-            }
-            if (l.hasInDim(kWarp)) {
-                for (int b = 0; b < l.getInDimSizeLog2(kWarp); ++b)
-                    warpBits += l.getBasis(kWarp, b, axisDim) != 0;
-            }
+            const int laneBits = axisBits(l, kLane, axisDim);
+            const int warpBits = axisBits(l, kWarp, axisDim);
             int resultRegs = std::max(1, regCount(l) >> laneBits);
             cost.cycles += double(laneBits) * resultRegs *
                            spec.shuffleCycles;
@@ -195,22 +170,8 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 break;
             const LinearLayout &l = *src.layout;
             const std::string axisDim = dims::out(o.axis);
-            int laneBits = 0, warpBits = 0, regBits = 0;
-            if (l.hasInDim(kLane)) {
-                for (int bIdx = 0; bIdx < l.getInDimSizeLog2(kLane);
-                     ++bIdx)
-                    laneBits += l.getBasis(kLane, bIdx, axisDim) != 0;
-            }
-            if (l.hasInDim(kWarp)) {
-                for (int bIdx = 0; bIdx < l.getInDimSizeLog2(kWarp);
-                     ++bIdx)
-                    warpBits += l.getBasis(kWarp, bIdx, axisDim) != 0;
-            }
-            if (l.hasInDim(kReg)) {
-                for (int bIdx = 0; bIdx < l.getInDimSizeLog2(kReg);
-                     ++bIdx)
-                    regBits += l.getBasis(kReg, bIdx, axisDim) != 0;
-            }
+            const int laneBits = axisBits(l, kLane, axisDim);
+            const int warpBits = axisBits(l, kWarp, axisDim);
             // Sequential within registers, Hillis-Steele across lanes
             // (one shuffle per axis lane-bit per register), partials
             // through shared memory across warps.

@@ -6,10 +6,11 @@
  * (a) op-distribution counts — convert_layout / local_load /
  * local_store, as in Table 6 — and (b) modeled execution cycles, which
  * the Figure 9 benchmarks turn into speedups. The model prices global
- * accesses by coalesced 32-byte sectors, conversions by their lowering
- * plan (no-op / permute / shuffles / shared round trips with Lemma 9.4
- * wavefronts), dots by tensor-core throughput, and reductions by shuffle
- * rounds plus an optional cross-warp shared round trip.
+ * accesses by coalesced 32-byte sectors, conversions by the plan the
+ * engine attached to each op (ir::Op::plan: no-op / permute / shuffles
+ * / shared round trips with Lemma 9.4 wavefronts), dots by tensor-core
+ * throughput (FMA throughput for synth::isFmaDot dots), and reductions
+ * by shuffle rounds plus an optional cross-warp shared round trip.
  */
 
 #ifndef LL_ENGINE_COST_MODEL_H
@@ -43,7 +44,9 @@ struct KernelCost
     std::string toString() const;
 };
 
-/** Price an engine-annotated function on the given GPU model. */
+/** Price an engine-annotated function on the given GPU model. Plans
+ *  nothing for ops the engine planned; a ConvertLayout without a plan
+ *  (hand-built IR, or a failed plan) is planned fresh, uncached. */
 KernelCost estimateKernelCost(const ir::Function &f,
                               const sim::GpuSpec &spec, int numWarps = 4);
 

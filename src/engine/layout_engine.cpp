@@ -4,16 +4,12 @@
 #include <map>
 
 #include "codegen/conversion.h"
-#include "codegen/shuffle.h"
 #include "engine/cost_model.h"
 #include "engine/shape_transfer.h"
-#include "layout/dims.h"
 #include "service/cute_service.h"
-#include "service/conversion_service.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
-#include "triton/encodings.h"
 
 namespace ll {
 namespace engine {
@@ -167,16 +163,15 @@ LayoutEngine::assignForward(ir::Function &f, EngineStats &stats,
             break;
           }
           case OpKind::Dot: {
-            const auto ta = f.value(o.operands[0]).type;
-            const auto tb = f.value(o.operands[1]).type;
             const auto tacc = f.value(o.results[0]).type;
-            int bits = std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
-            if (bits > 32) {
+            if (synth::isFmaDot(f, o)) {
                 // No tensor-core path: FMA dot on blocked layouts.
-                f.op(i).tag = o.tag.empty() ? "fma" : o.tag + "/fma";
                 f.value(o.results[0]).layout = anchorForMemory(tacc);
                 break;
             }
+            const auto ta = f.value(o.operands[0]).type;
+            const auto tb = f.value(o.operands[1]).type;
+            const int bits = synth::dotOperandBits(f, o);
             ensureOperand(f, i, 0,
                           dotOperandLayout(ta, tacc, 0, bits), stats);
             ensureOperand(f, i, 1,
@@ -348,19 +343,16 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         const auto &want = f.value(o.results[0]).layout;
         const std::string where = "op " + std::to_string(i);
         if (!have || !want) {
-            o.tag = "convert:unplanned";
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
                 where + ": conversion endpoint is missing a layout");
             opSpan.arg("outcome", "unplanned");
             continue;
         }
-        const auto &type = f.value(o.results[0]).type;
-        int elemBytes = std::max(1, bitWidth(type.dtype) / 8);
-        LinearLayout dst = want->transposeOuts(have->getOutDimNames());
-
-        auto outcome = service::serveConversion(
-            options_.planCache, *have, dst, elemBytes, options_.spec);
+        auto outcome = synth::serveTensorConversion(
+            options_.planCache, *have, *want,
+            f.value(o.results[0]).type.dtype, options_.spec);
+        o.plan = outcome.plan;
         if (options_.planCache != nullptr) {
             if (!outcome.fromCache)
                 ++stats.planCacheMisses;
@@ -370,7 +362,6 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
                 ++stats.planCacheHits;
         }
         if (!outcome.planned()) {
-            o.tag = "convert:unplanned";
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
                 where + (outcome.cachedRejection ? " (plan-cache): "
@@ -379,21 +370,29 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
             opSpan.arg("outcome", "unplanned");
             continue;
         }
-        o.tag = "convert:" + codegen::toString(outcome.plan->kind);
+        const std::string kind = codegen::toString(o.plan->kind);
         ++stats.convertsPlanned;
-        opSpan.arg("outcome", o.tag);
-        if (!outcome.plan->diagnostics.empty()) {
+        opSpan.arg("outcome", kind);
+        if (!o.plan->diagnostics.empty()) {
             ++stats.planFallbacks;
             stats.planDiagnostics.push_back(
-                where + " (" + o.tag +
-                "): " + outcome.plan->diagnostics.toString());
+                where + " (" + kind +
+                "): " + o.plan->diagnostics.toString());
         }
     }
 }
 
-std::map<int, LinearLayout>
-LayoutEngine::synthesizeAssignment(const ir::Function &f,
-                                   EngineStats &stats)
+void
+LayoutEngine::compile(ir::Function &f, EngineStats &stats,
+                      const std::map<int, LinearLayout> *anchorOverrides)
+{
+    assignForward(f, stats, anchorOverrides);
+    cleanup(f, stats);
+    planConversions(f, stats);
+}
+
+bool
+LayoutEngine::compileSynthesized(ir::Function &f, EngineStats &stats)
 {
     trace::Span span("synth.run", "synth");
     if (span.active())
@@ -412,10 +411,10 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
                         "assignment: ") +
             e.what());
         metrics::counter("synth.search_failures").inc();
-        return {};
+        return false;
     }
     if (sr.anchors.empty() || sr.ranked.empty())
-        return {};
+        return false;
 
     auto overridesFor = [&](const synth::SynthAssignment &a) {
         std::map<int, LinearLayout> m;
@@ -429,51 +428,52 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
         return m;
     };
 
-    // Reprice the finalists with the true pipeline: a trial
-    // assignment + cleanup on a copy is exactly what the real run
-    // produces (planConversions only tags ops), so the cost comparison
-    // below is exact, not a guide estimate — the never-worse guarantee
-    // rests on it.
-    struct Eval
+    // Compile the default and every finalist on a copy of f and price
+    // the planned result with the true cost model. A trial is exactly
+    // the run it stands for, so the cost comparison below is exact,
+    // not a guide estimate (the never-worse guarantee rests on it),
+    // and the winning trial is adopted as the run's output.
+    struct Trial
     {
+        ir::Function f{""};
+        EngineStats stats;
         double cycles = 0.0;
         int surviving = 0;
     };
-    auto evaluate = [&](const synth::SynthAssignment &a) -> Eval {
+    auto evaluate = [&](const synth::SynthAssignment &a) -> Trial {
         trace::Span evalSpan("synth.evaluate", "synth");
-        ir::Function copy = f;
-        EngineStats trial;
+        Trial t{f, {}};
         auto overrides = overridesFor(a);
-        assignForward(copy, trial,
-                      overrides.empty() ? nullptr : &overrides);
-        cleanup(copy, trial);
-        auto cost = estimateKernelCost(copy, options_.spec,
+        compile(t.f, t.stats, overrides.empty() ? nullptr : &overrides);
+        auto cost = estimateKernelCost(t.f, options_.spec,
                                        options_.numWarps);
         if (evalSpan.active()) {
             evalSpan.arg("cycles", static_cast<int>(cost.cycles));
             evalSpan.arg("converts", cost.converts);
         }
-        return {cost.cycles,
-                trial.convertsInserted - trial.convertsEliminated};
+        t.cycles = cost.cycles;
+        t.surviving = t.stats.convertsInserted - t.stats.convertsEliminated;
+        return t;
     };
 
-    Eval best;
-    int bestRank = -1; // -1 = the default assignment
-    Eval defaultEval;
+    Trial best;
+    double defaultCycles = 0.0;
+    int defaultSurviving = 0;
+    bool choseSynthesized = false;
     int evaluated = 0;
     try {
-        defaultEval = evaluate(sr.ranked[static_cast<size_t>(
-            sr.defaultRank)]);
+        best = evaluate(sr.ranked[static_cast<size_t>(sr.defaultRank)]);
         ++evaluated;
-        best = defaultEval;
+        defaultCycles = best.cycles;
+        defaultSurviving = best.surviving;
         for (size_t r = 0; r < sr.ranked.size(); ++r) {
             if (static_cast<int>(r) == sr.defaultRank)
                 continue;
-            Eval e = evaluate(sr.ranked[r]);
+            Trial t = evaluate(sr.ranked[r]);
             ++evaluated;
-            if (e.cycles < best.cycles) { // strict: ties keep the default
-                best = e;
-                bestRank = static_cast<int>(r);
+            if (t.cycles < best.cycles) { // strict: ties keep the default
+                best = std::move(t);
+                choseSynthesized = true;
             }
         }
     } catch (const std::exception &e) {
@@ -482,23 +482,26 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
                         "assignment: ") +
             e.what());
         metrics::counter("synth.search_failures").inc();
-        return {};
+        return false;
     }
-    stats.synthAssignmentsEvaluated = evaluated;
-    stats.synthDefaultCycles = defaultEval.cycles;
-    stats.synthChosenCycles =
-        bestRank < 0 ? defaultEval.cycles : best.cycles;
     if (span.active()) {
         span.arg("evaluated", evaluated);
         span.arg("exhaustive", sr.exhaustive ? 1 : 0);
-        span.arg("chose", bestRank < 0 ? "default" : "synthesized");
+        span.arg("chose", choseSynthesized ? "synthesized" : "default");
     }
-    if (bestRank < 0)
-        return {};
-    stats.synthChoseSynthesized = 1;
-    stats.synthConvertsEliminated =
-        std::max(0, defaultEval.surviving - best.surviving);
-    return overridesFor(sr.ranked[static_cast<size_t>(bestRank)]);
+    // Nothing was recorded in `stats` on this path, so the run's stats
+    // are the winning trial's plus the synthesis summary.
+    stats = std::move(best.stats);
+    stats.synthAssignmentsEvaluated = evaluated;
+    stats.synthDefaultCycles = defaultCycles;
+    stats.synthChosenCycles = best.cycles;
+    if (choseSynthesized) {
+        stats.synthChoseSynthesized = 1;
+        stats.synthConvertsEliminated =
+            std::max(0, defaultSurviving - best.surviving);
+    }
+    f = std::move(best.f);
+    return true;
 }
 
 EngineStats
@@ -510,18 +513,13 @@ LayoutEngine::run(ir::Function &f)
     const auto before = metrics::Registry::instance().counterSnapshot();
 
     EngineStats stats;
-    std::map<int, LinearLayout> anchorOverrides;
-    if (options_.synthesizeLayouts)
-        anchorOverrides = synthesizeAssignment(f, stats);
-    assignForward(f, stats,
-                  anchorOverrides.empty() ? nullptr : &anchorOverrides);
-    cleanup(f, stats);
+    if (!options_.synthesizeLayouts || !compileSynthesized(f, stats))
+        compile(f, stats, nullptr);
     // Conversions the synthesized assignment avoided count as
     // eliminated too: the headline counter keeps meaning "conversions
     // the default path would have kept that this run does not", with
     // the synth share still visible via synth.converts_eliminated.
     stats.convertsEliminated += stats.synthConvertsEliminated;
-    planConversions(f, stats);
     f.verify();
 
     // Mirror the struct counters into the registry (the struct fields

@@ -12,7 +12,9 @@
  * hoists conversions through shape ops when that turns them into no-ops
  * (rematerialization). Every surviving conversion is then lowered
  * through service::serveConversion — the same cache-aware plan path the
- * compilation service uses. The planner checks each plan statically
+ * compilation service uses — and the op keeps that plan (ir::Op::plan,
+ * the very object the plan cache holds), which the cost model prices
+ * instead of planning again. The planner checks each plan statically
  * (codegen::validatePlan) as it builds it; nothing on this compile path
  * executes a plan on data.
  */
@@ -69,14 +71,14 @@ struct EngineStats
     int convertsInserted = 0;
     int convertsEliminated = 0;
     /** ConvertLayout ops surviving cleanup that received a lowering
-     *  plan (tagged "convert:<kind>"). */
+     *  plan (ir::Op::plan). */
     int convertsPlanned = 0;
     /** Plans that stepped down the fallback ladder — the planner
      *  succeeded but left diagnostics explaining skipped rungs. */
     int planFallbacks = 0;
-    /** Conversions whose planning failed outright; the op is tagged
-     *  "convert:unplanned" and the function still verifies — the
-     *  engine downgrades, it does not abort. */
+    /** Conversions whose planning failed outright; the op is left
+     *  unplanned (null ir::Op::plan) and the function still verifies —
+     *  the engine downgrades, it does not abort. */
     int planFailures = 0;
     /** Shape-transfer functions that threw (or were failpointed via
      *  "engine.transfer") and fell back to the anchor layout. */
@@ -92,7 +94,7 @@ struct EngineStats
      *  "service.plan_cache.*". */
     int planCacheHits = 0;
     /** Conversions rejected from a memoized InvalidInput entry; also
-     *  counted in planFailures (the op is tagged convert:unplanned). */
+     *  counted in planFailures (the op is left unplanned). */
     int planCacheNegativeHits = 0;
     /** Conversions that consulted the shared plan cache and missed. */
     int planCacheMisses = 0;
@@ -105,9 +107,10 @@ struct EngineStats
      *  --validate-bench-json checks it sums). Zero when synthesis is
      *  off or chose the default. */
     int synthConvertsEliminated = 0;
-    /** Complete assignments repriced with the true pipeline (trial
-     *  assignForward + cleanup + estimateKernelCost), including the
-     *  default. Zero when synthesis is off. */
+    /** Complete assignments repriced with the true pipeline (a trial
+     *  compile — assignForward + cleanup + planConversions — priced by
+     *  estimateKernelCost), including the default. Zero when synthesis
+     *  is off. */
     int synthAssignmentsEvaluated = 0;
     /** 1 when the run adopted a non-default assignment. */
     int synthChoseSynthesized = 0;
@@ -178,17 +181,21 @@ class LayoutEngine
                        = nullptr);
     void cleanup(ir::Function &f, EngineStats &stats);
 
-    /** Run the synth search, reprice its finalists (and the default)
-     *  with trial assignForward + cleanup + estimateKernelCost, and
-     *  return the winning anchor overrides — empty when the default
-     *  wins or anything in the search throws. Fills the synth* stats
-     *  fields. */
-    std::map<int, LinearLayout> synthesizeAssignment(const ir::Function &f,
-                                                     EngineStats &stats);
+    /** The whole compile: assignForward + cleanup + planConversions. */
+    void compile(ir::Function &f, EngineStats &stats,
+                 const std::map<int, LinearLayout> *anchorOverrides);
+
+    /** Run the synth search, compile the default assignment and every
+     *  finalist on a copy of `f`, price each compiled copy with
+     *  estimateKernelCost, and adopt the cheapest (the default wins
+     *  ties): `f` and `stats` become that trial's, plus the synth*
+     *  fields. Returns false, leaving `f` untouched, when there is
+     *  nothing to search or anything in the search throws. */
+    bool compileSynthesized(ir::Function &f, EngineStats &stats);
 
     /** Lower every surviving ConvertLayout to a ConversionPlan via
-     *  service::serveConversion and tag it "convert:<kind>". A plan
-     *  that cannot be built downgrades the op to "convert:unplanned"
+     *  service::serveConversion and attach it to the op (ir::Op::plan).
+     *  A plan that cannot be built leaves the op unplanned (null plan)
      *  and is recorded in the stats; nothing is executed, and this
      *  pass never throws. */
     void planConversions(ir::Function &f, EngineStats &stats);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "codegen/conversion.h"
 #include "support/bits.h"
 #include "support/string_utils.h"
 
@@ -399,6 +400,8 @@ Function::print() const
         oss << toString(o.kind);
         if (!o.tag.empty())
             oss << "<" << o.tag << ">";
+        if (o.plan)
+            oss << "<" << codegen::toString(o.plan->kind) << ">";
         if (o.axis >= 0)
             oss << " axis=" << o.axis;
         if (!o.order.empty())

@@ -7,15 +7,18 @@
  *
  * A Function is a single straight-line block: ops execute in order and
  * every value is defined before use. The layout engine annotates each
- * value with a LinearLayout and inserts ConvertLayout ops where operand
- * layouts conflict; benchmarks then count and price those ops exactly
- * like the paper counts convert_layout / local_load / local_store in
- * Triton's GPU IR (Table 6).
+ * value with a LinearLayout, inserts ConvertLayout ops where operand
+ * layouts conflict, and attaches to every surviving ConvertLayout the
+ * ConversionPlan that lowers it (Op::plan). Benchmarks then count and
+ * price those ops from their plans exactly like the paper counts
+ * convert_layout / local_load / local_store in Triton's GPU IR
+ * (Table 6).
  */
 
 #ifndef LL_IR_FUNCTION_H
 #define LL_IR_FUNCTION_H
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,6 +28,11 @@
 #include "layout/linear_layout.h"
 
 namespace ll {
+
+namespace codegen {
+struct ConversionPlan;
+}
+
 namespace ir {
 
 enum class OpKind
@@ -68,6 +76,11 @@ struct Op
     std::vector<int32_t> order; ///< Trans permutation
     std::string tag;            ///< free-form label ("add", "exp", ...)
     bool erased = false;        ///< dead ops are tombstoned, not removed
+    /** ConvertLayout only: the plan that lowers this op — the same
+     *  immutable object the plan cache holds. Null until the layout
+     *  engine plans the op, and null (unplanned) when planning
+     *  failed. */
+    std::shared_ptr<const codegen::ConversionPlan> plan;
 };
 
 class Function

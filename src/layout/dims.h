@@ -16,6 +16,8 @@
 
 #include <string>
 
+#include "layout/linear_layout.h"
+
 namespace ll {
 namespace dims {
 
@@ -30,6 +32,33 @@ inline std::string
 out(int i)
 {
     return "dim" + std::to_string(i);
+}
+
+/** Registers per thread of `l` (1 when it has no register dim). */
+inline int32_t
+regCount(const LinearLayout &l)
+{
+    return l.hasInDim(kReg) ? l.getInDimSize(kReg) : 1;
+}
+
+/** Warps of `l` (1 when it has no warp dim). */
+inline int32_t
+warpCount(const LinearLayout &l)
+{
+    return l.hasInDim(kWarp) ? l.getInDimSize(kWarp) : 1;
+}
+
+/** Bases of in-dim `inDim` of `l` that move along out-dim `axisDim`. */
+inline int
+axisBits(const LinearLayout &l, const std::string &inDim,
+         const std::string &axisDim)
+{
+    int bits = 0;
+    if (l.hasInDim(inDim)) {
+        for (int b = 0; b < l.getInDimSizeLog2(inDim); ++b)
+            bits += l.getBasis(inDim, b, axisDim) != 0;
+    }
+    return bits;
 }
 
 } // namespace dims

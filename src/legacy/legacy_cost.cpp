@@ -4,27 +4,19 @@
 #include "legacy/legacy.h"
 #include "sim/memory_sim.h"
 #include "support/bits.h"
+#include "synth/candidates.h"
 
 namespace ll {
 namespace legacy {
 
 namespace {
 
+using dims::axisBits;
 using dims::kLane;
 using dims::kReg;
 using dims::kWarp;
-
-int
-regCount(const LinearLayout &l)
-{
-    return l.hasInDim(kReg) ? l.getInDimSize(kReg) : 1;
-}
-
-int
-warpCount(const LinearLayout &l)
-{
-    return l.hasInDim(kWarp) ? l.getInDimSize(kWarp) : 1;
-}
+using dims::regCount;
+using dims::warpCount;
 
 int64_t
 legacyGlobalSectors(const LinearLayout &layout, int elemBits,
@@ -132,7 +124,7 @@ estimateLegacyKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             const auto &tacc = f.value(o.results[0]).type;
             double macs = double(tacc.shape[0]) * tacc.shape[1] *
                           ta.shape[1];
-            bool fma = o.tag.find("fma") != std::string::npos;
+            const bool fma = synth::isFmaDot(f, o);
             double throughput =
                 fma ? double(numWarps) * spec.warpSize *
                           spec.aluOpsPerLanePerCycle
@@ -146,15 +138,8 @@ estimateLegacyKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 break;
             const LinearLayout &l = *src.layout;
             const std::string axisDim = dims::out(o.axis);
-            int laneBits = 0, warpBits = 0;
-            if (l.hasInDim(kLane)) {
-                for (int b = 0; b < l.getInDimSizeLog2(kLane); ++b)
-                    laneBits += l.getBasis(kLane, b, axisDim) != 0;
-            }
-            if (l.hasInDim(kWarp)) {
-                for (int b = 0; b < l.getInDimSizeLog2(kWarp); ++b)
-                    warpBits += l.getBasis(kWarp, b, axisDim) != 0;
-            }
+            const int laneBits = axisBits(l, kLane, axisDim);
+            const int warpBits = axisBits(l, kWarp, axisDim);
             int resultRegs = std::max(1, regCount(l) >> laneBits);
             cost.cycles +=
                 double(laneBits) * resultRegs * spec.shuffleCycles;
@@ -196,13 +181,7 @@ estimateLegacyKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             // every register (the buggy per-layout index math the paper
             // cites made exactly these ops conservative).
             const LinearLayout &l = *src.layout;
-            const std::string axisDim = dims::out(o.axis);
-            int laneBits = 0;
-            if (l.hasInDim(kLane)) {
-                for (int bIdx = 0; bIdx < l.getInDimSizeLog2(kLane);
-                     ++bIdx)
-                    laneBits += l.getBasis(kLane, bIdx, axisDim) != 0;
-            }
+            const int laneBits = axisBits(l, kLane, dims::out(o.axis));
             int regs = regCount(l);
             ++cost.localStores;
             ++cost.localLoads;

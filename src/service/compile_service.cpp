@@ -125,9 +125,9 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
             resp.outcome = resp.ok ? RequestOutcome::Planned
                                    : RequestOutcome::Failed;
             if (!resp.ok)
-                resp.error = "engine downgraded " +
+                resp.error = "engine left " +
                              std::to_string(resp.stats.planFailures) +
-                             " conversion(s) to convert:unplanned";
+                             " conversion(s) unplanned";
         } else if (req.conversion) {
             const ConversionRequest &c = *req.conversion;
             FlightResult flight = serveConversionCoalesced(

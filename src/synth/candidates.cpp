@@ -15,20 +15,9 @@ namespace {
 
 using dims::kLane;
 using dims::kReg;
-using dims::kWarp;
+using dims::regCount;
+using dims::warpCount;
 using ir::OpKind;
-
-int
-regCount(const LinearLayout &l)
-{
-    return l.hasInDim(kReg) ? l.getInDimSize(kReg) : 1;
-}
-
-int
-warpCount(const LinearLayout &l)
-{
-    return l.hasInDim(kWarp) ? l.getInDimSize(kWarp) : 1;
-}
 
 } // namespace
 
@@ -133,6 +122,36 @@ dotOperandLayout(const ir::TensorType &operandType,
     return enc.toLinearLayout(operandType.shape);
 }
 
+int
+dotOperandBits(const ir::Function &f, const ir::Op &o)
+{
+    return std::max(bitWidth(f.value(o.operands[0]).type.dtype),
+                    bitWidth(f.value(o.operands[1]).type.dtype));
+}
+
+bool
+isFmaDot(const ir::Function &f, const ir::Op &o)
+{
+    return dotOperandBits(f, o) > 32;
+}
+
+service::ConversionOutcome
+serveTensorConversion(service::PlanCache *cache, const LinearLayout &src,
+                      const LinearLayout &dst, ir::DType dtype,
+                      const sim::GpuSpec &spec)
+{
+    LinearLayout aligned;
+    try {
+        aligned = dst.transposeOuts(src.getOutDimNames());
+    } catch (const std::exception &e) {
+        service::ConversionOutcome out;
+        out.error = e.what();
+        return out;
+    }
+    return service::serveConversion(cache, src, aligned,
+                                    byteWidth(dtype), spec);
+}
+
 int64_t
 globalMemorySectors(const LinearLayout &layout, int elemBits,
                     const sim::GpuSpec &spec)
@@ -195,15 +214,13 @@ propagationMap(const ir::Function &f, const sim::GpuSpec &spec,
             inherit(o.results[0], o.operands[0]);
             break;
           case OpKind::Dot: {
-            const auto &ta = f.value(o.operands[0]).type;
-            const auto &tb = f.value(o.operands[1]).type;
             const auto &tacc = f.value(o.results[0]).type;
-            int bits = std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
             try {
                 map.fixed[static_cast<size_t>(o.results[0])] =
-                    bits > 32
+                    isFmaDot(f, o)
                         ? defaultMemoryAnchor(tacc, spec, numWarps)
-                        : dotResultLayout(tacc, bits, spec, numWarps);
+                        : dotResultLayout(tacc, dotOperandBits(f, o),
+                                          spec, numWarps);
             } catch (const std::exception &) {
                 // An unconstructible MMA layout simply leaves the
                 // result unpinned; the engine's own path will face the
@@ -280,12 +297,10 @@ anchorCandidates(const ir::Function &f, int anchor,
         if (o.erased)
             continue;
         if (o.kind == OpKind::Dot) {
-            const auto &ta = f.value(o.operands[0]).type;
-            const auto &tb = f.value(o.operands[1]).type;
-            const auto &tacc = f.value(o.results[0]).type;
-            int bits = std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
-            if (bits > 32)
+            if (isFmaDot(f, o))
                 continue; // FMA dots want the default blocked anchor
+            const auto &tacc = f.value(o.results[0]).type;
+            const int bits = dotOperandBits(f, o);
             for (int s = 0; s < 2; ++s) {
                 if (carrierOf(o.operands[s]) != anchor ||
                     !sameShape(o.operands[s]))

@@ -21,7 +21,9 @@
  *
  * The default anchor/dot layout constructors live here — LayoutEngine
  * delegates to them — so the no-synth path and candidate index 0 are
- * the same code, not two copies that can drift.
+ * the same code, not two copies that can drift. So do the FMA-dot
+ * predicate and the op -> conversion-request mapping, which the
+ * engine, the cost models and the search all share.
  */
 
 #ifndef LL_SYNTH_CANDIDATES_H
@@ -34,6 +36,7 @@
 
 #include "ir/function.h"
 #include "layout/linear_layout.h"
+#include "service/conversion_service.h"
 #include "sim/gpu_spec.h"
 
 namespace ll {
@@ -61,6 +64,30 @@ LinearLayout dotOperandLayout(const ir::TensorType &operandType,
                               const ir::TensorType &accType, int opIdx,
                               int operandBits, const sim::GpuSpec &spec,
                               int numWarps);
+
+/** The widest operand element of Dot op `o`, in bits: the width that
+ *  selects the MMA instruction (dotResultLayout / dotOperandLayout). */
+int dotOperandBits(const ir::Function &f, const ir::Op &o);
+
+/** Whether Dot op `o` has no tensor-core path (an operand wider than
+ *  32 bits) and runs as an FMA loop on blocked layouts. The engine,
+ *  the synthesis search and both cost models decide this here. */
+bool isFmaDot(const ir::Function &f, const ir::Op &o);
+
+/**
+ * Serve the conversion of a `dtype` tensor from `src` to `dst` through
+ * service::serveConversion (a null `cache` plans fresh): `dst` is
+ * transposed to `src`'s out-dim order and the element size is
+ * ir::byteWidth(dtype). This is the one op -> request mapping the
+ * engine, the cost model and the synthesis pricer share. Never
+ * throws: planner trouble, and layouts over different out dims, come
+ * back as a failed outcome.
+ */
+service::ConversionOutcome serveTensorConversion(service::PlanCache *cache,
+                                                 const LinearLayout &src,
+                                                 const LinearLayout &dst,
+                                                 ir::DType dtype,
+                                                 const sim::GpuSpec &spec);
 
 /**
  * Global traffic (32-byte sectors) of one load or store of a tensor

@@ -6,7 +6,6 @@
 
 #include "codegen/conversion.h"
 #include "layout/dims.h"
-#include "service/conversion_service.h"
 #include "support/trace.h"
 
 namespace ll {
@@ -14,13 +13,8 @@ namespace synth {
 
 namespace {
 
+using dims::regCount;
 using ir::OpKind;
-
-int
-regCount(const LinearLayout &l)
-{
-    return l.hasInDim(dims::kReg) ? l.getInDimSize(dims::kReg) : 1;
-}
 
 /** A load or store whose traffic depends on anchor `anchorIdx`'s
  *  candidate (the carried layout prices the access). */
@@ -37,7 +31,7 @@ struct FixedEdge
     int anchorIdx;
     LinearLayout other;
     bool anchorIsSrc;
-    int elemBytes;
+    ir::DType dtype;
 };
 
 /** A conversion edge between two anchor-carried values: the `from`
@@ -46,7 +40,7 @@ struct PairEdge
 {
     int fromIdx;
     int toIdx;
-    int elemBytes;
+    ir::DType dtype;
 };
 
 struct CostTerms
@@ -60,7 +54,7 @@ struct CostTerms
  * Plan-cache-backed conversion pricing, memoized per search. A pair
  * that proves to be a no-op costs zero; an unplannable pair is charged
  * a scalar shared round trip exactly like engine::estimateKernelCost
- * prices convert:unplanned ops.
+ * prices unplanned ConvertLayout ops.
  */
 class ConversionPricer
 {
@@ -72,14 +66,14 @@ class ConversionPricer
 
     double
     cycles(const LinearLayout &src, const LinearLayout &dst,
-           int elemBytes)
+           ir::DType dtype)
     {
         const std::string key = src.toString() + "|" + dst.toString() +
-                                "|" + std::to_string(elemBytes);
+                                "|" + std::to_string(byteWidth(dtype));
         auto it = memo_.find(key);
         if (it != memo_.end())
             return it->second;
-        double cost = price(src, dst, elemBytes);
+        double cost = price(src, dst, dtype);
         memo_.emplace(key, cost);
         return cost;
     }
@@ -87,32 +81,23 @@ class ConversionPricer
   private:
     double
     price(const LinearLayout &src, const LinearLayout &dst,
-          int elemBytes)
+          ir::DType dtype)
     {
-        const double unplannable =
-            spec_.sharedRoundTripCycles +
-            2.0 * regCount(src) * spec_.sharedWavefrontCycles;
         try {
-            LinearLayout d = dst.transposeOuts(src.getOutDimNames());
-            if (codegen::conversionIsNoOp(src, d))
+            if (codegen::conversionIsNoOp(
+                    src, dst.transposeOuts(src.getOutDimNames())))
                 return 0.0;
-            if (cache_ != nullptr) {
-                auto outcome = service::serveConversion(
-                    cache_, src, d, elemBytes, spec_);
-                if (outcome.planned())
-                    return outcome.plan->estimateCycles(src, elemBytes,
-                                                        spec_);
-                return unplannable;
-            }
-            auto plan = codegen::tryPlanConversion(src, d, elemBytes,
-                                                   spec_);
-            if (plan.ok())
-                return plan->estimateCycles(src, elemBytes, spec_);
+            auto outcome =
+                serveTensorConversion(cache_, src, dst, dtype, spec_);
+            if (outcome.planned())
+                return outcome.plan->estimateCycles(
+                    src, byteWidth(dtype), spec_);
         } catch (const std::exception &) {
             // Incomparable layout spaces price like an unplannable
             // conversion below.
         }
-        return unplannable;
+        return spec_.sharedRoundTripCycles +
+               2.0 * regCount(src) * spec_.sharedWavefrontCycles;
     }
 
     const sim::GpuSpec &spec_;
@@ -149,13 +134,10 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
             break;
           }
           case OpKind::Dot: {
-            const auto &ta = f.value(o.operands[0]).type;
-            const auto &tb = f.value(o.operands[1]).type;
-            const auto &tacc = f.value(o.results[0]).type;
-            const int bits =
-                std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
-            if (bits > 32)
+            if (isFmaDot(f, o))
                 break; // FMA dots keep blocked operands: no MMA edge
+            const auto &tacc = f.value(o.results[0]).type;
+            const int bits = dotOperandBits(f, o);
             for (int s = 0; s < 2; ++s) {
                 const int v = o.operands[s];
                 const int idx = idxOf(v);
@@ -166,8 +148,7 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
                         {idx,
                          dotOperandLayout(f.value(v).type, tacc, s,
                                           bits, spec, numWarps),
-                         /*anchorIsSrc=*/true,
-                         byteWidth(f.value(v).type.dtype)});
+                         /*anchorIsSrc=*/true, f.value(v).type.dtype});
                 } catch (const std::exception &) {
                     // No MMA operand layout for this shape: the edge
                     // is the same for every candidate, drop it.
@@ -189,19 +170,19 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
                 const int vIdx = idxOf(v);
                 const auto &vFixed =
                     prop.fixed[static_cast<size_t>(v)];
-                const int bytes = byteWidth(f.value(v).type.dtype);
+                const ir::DType dtype = f.value(v).type.dtype;
                 if (vIdx >= 0 && leadIdx >= 0 && vIdx != leadIdx)
-                    terms.pairEdges.push_back({vIdx, leadIdx, bytes});
+                    terms.pairEdges.push_back({vIdx, leadIdx, dtype});
                 else if (vIdx >= 0 && leadIdx < 0 &&
                          leadFixed.has_value())
                     terms.fixedEdges.push_back(
                         {vIdx, *leadFixed, /*anchorIsSrc=*/true,
-                         bytes});
+                         dtype});
                 else if (vIdx < 0 && leadIdx >= 0 &&
                          vFixed.has_value())
                     terms.fixedEdges.push_back(
                         {leadIdx, *vFixed, /*anchorIsSrc=*/false,
-                         bytes});
+                         dtype});
             }
             break;
           }
@@ -210,6 +191,29 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
         }
     }
     return terms;
+}
+
+/** Truncate the sorted, equal-length `states` to `width`, re-appending
+ *  the all-defaults state when it would fall out (the never-worse
+ *  invariant). */
+void
+pruneKeepingDefault(std::vector<SynthAssignment> &states, int width)
+{
+    const auto keep = static_cast<size_t>(width);
+    if (states.size() <= keep)
+        return;
+    const std::vector<int> defaults(states.front().choice.size(), 0);
+    auto it = std::find_if(states.begin(), states.end(),
+                           [&](const SynthAssignment &s) {
+                               return s.choice == defaults;
+                           });
+    const bool survives = it < states.begin() + width;
+    SynthAssignment defaultState;
+    if (!survives && it != states.end())
+        defaultState = *it;
+    states.resize(keep);
+    if (!survives)
+        states.push_back(std::move(defaultState));
 }
 
 } // namespace
@@ -265,15 +269,15 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
                 continue;
             cost += e.anchorIsSrc
                         ? pricer.cycles(layoutOf(e.anchorIdx), e.other,
-                                        e.elemBytes)
+                                        e.dtype)
                         : pricer.cycles(e.other, layoutOf(e.anchorIdx),
-                                        e.elemBytes);
+                                        e.dtype);
         }
         for (const PairEdge &e : terms.pairEdges) {
             if (e.fromIdx >= assigned || e.toIdx >= assigned)
                 continue;
             cost += pricer.cycles(layoutOf(e.fromIdx),
-                                  layoutOf(e.toIdx), e.elemBytes);
+                                  layoutOf(e.toIdx), e.dtype);
         }
         return cost;
     };
@@ -311,50 +315,12 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
             }
         }
         std::sort(next.begin(), next.end(), better);
-        if (!result.exhaustive &&
-            static_cast<int>(next.size()) > beamWidth) {
-            // Prune to the beam — but the all-defaults prefix never
-            // falls out (the never-worse invariant).
-            const std::vector<int> defaults(
-                static_cast<size_t>(level + 1), 0);
-            bool defaultSurvives = false;
-            for (int i = 0; i < beamWidth; ++i)
-                defaultSurvives |= next[static_cast<size_t>(i)].choice ==
-                                   defaults;
-            SynthAssignment defaultState;
-            if (!defaultSurvives) {
-                for (const SynthAssignment &s : next)
-                    if (s.choice == defaults) {
-                        defaultState = s;
-                        break;
-                    }
-            }
-            next.resize(static_cast<size_t>(beamWidth));
-            if (!defaultSurvives)
-                next.push_back(std::move(defaultState));
-        }
+        if (!result.exhaustive)
+            pruneKeepingDefault(next, beamWidth);
         frontier = std::move(next);
     }
 
-    const int keep = std::max(1, opt.maxRankedAssignments);
-    if (static_cast<int>(frontier.size()) > keep) {
-        const std::vector<int> defaults(static_cast<size_t>(n), 0);
-        bool defaultSurvives = false;
-        for (int i = 0; i < keep; ++i)
-            defaultSurvives |=
-                frontier[static_cast<size_t>(i)].choice == defaults;
-        SynthAssignment defaultState;
-        if (!defaultSurvives) {
-            for (const SynthAssignment &s : frontier)
-                if (s.choice == defaults) {
-                    defaultState = s;
-                    break;
-                }
-        }
-        frontier.resize(static_cast<size_t>(keep));
-        if (!defaultSurvives)
-            frontier.push_back(std::move(defaultState));
-    }
+    pruneKeepingDefault(frontier, std::max(1, opt.maxRankedAssignments));
     result.ranked = std::move(frontier);
 
     const std::vector<int> defaults(static_cast<size_t>(n), 0);

@@ -25,8 +25,10 @@
  * never-worse guarantee — see DESIGN.md §17).
  *
  * The guide costs here are estimates; LayoutEngine re-prices the
- * finalists by actually running assignment + cleanup + the true cost
- * model, and only deviates from the default on a strict win.
+ * finalists by actually compiling each one (assignment + cleanup +
+ * conversion planning through the same plan cache) and pricing the
+ * result with the true cost model, and only deviates from the default
+ * on a strict win.
  */
 
 #ifndef LL_SYNTH_SYNTHESIZE_H

@@ -434,7 +434,7 @@ gemmFunction()
 
 // Nothing on the compile path executes a plan: with every executor
 // failpoint held active, the engine lowers the gemm fixture exactly as a
-// clean run does — same tags, same plans (describePlan), same notes —
+// clean run does — same plans on the ops (describePlan), same notes —
 // and no executor runs at all.
 TEST(ExecFallback, EnginePlansIdenticallyWithEveryExecSiteActive)
 {
@@ -448,17 +448,8 @@ TEST(ExecFallback, EnginePlansIdenticallyWithEveryExecSiteActive)
             const ir::Op &o = f.op(i);
             if (o.erased || o.kind != ir::OpKind::ConvertLayout)
                 continue;
-            const LinearLayout &have = *f.value(o.operands[0]).layout;
-            LinearLayout dst = f.value(o.results[0])
-                                   .layout->transposeOuts(
-                                       have.getOutDimNames());
-            const int elemBytes = std::max(
-                1, ir::bitWidth(f.value(o.results[0]).type.dtype) / 8);
-            auto plan =
-                codegen::tryPlanConversion(have, dst, elemBytes, spec);
-            out.push_back(o.tag + " " +
-                          (plan.ok() ? codegen::describePlan(*plan)
-                                     : plan.diag().toString()));
+            out.push_back(o.plan ? codegen::describePlan(*o.plan)
+                                 : "unplanned");
         }
         return out;
     };

@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include "codegen/conversion.h"
 #include "engine/cost_model.h"
 #include "engine/layout_engine.h"
 #include "engine/shape_transfer.h"
 #include "ir/function.h"
+#include "kernels.h"
 #include "layout/dims.h"
+#include "service/plan_cache.h"
+#include "support/metrics.h"
+#include "synth/candidates.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -281,8 +286,13 @@ TEST(Engine, FmaFallbackForF64)
     int c = f.dot(a, b, DType::F64);
     f.store(c);
     LayoutEngine eng({sim::GpuSpec::gh200(), 4});
-    eng.run(f);
-    EXPECT_NE(f.op(f.value(c).defOp).tag.find("fma"), std::string::npos);
+    auto stats = eng.run(f);
+    // No tensor-core path for 64-bit operands: an FMA dot on blocked
+    // layouts, so no operand is converted to an MMA layout.
+    EXPECT_TRUE(synth::isFmaDot(f, f.op(f.value(c).defOp)));
+    EXPECT_EQ(*f.value(c).layout, eng.anchorForMemory(f.value(c).type));
+    EXPECT_EQ(f.countOps(ir::OpKind::ConvertLayout), 0);
+    EXPECT_EQ(stats.convertsInserted, 0);
 }
 
 TEST(Engine, ScanIsLayoutPreserving)
@@ -352,6 +362,76 @@ TEST(CostModel, CrossWarpReductionPaysSharedRoundTrip)
     eng.run(f);
     auto cost = estimateKernelCost(f, sim::GpuSpec::gh200(), 4);
     EXPECT_GE(cost.localStores, 1); // partials through shared memory
+}
+
+// ----------------------------------------------------------------------
+// Plan once: every ConvertLayout op carries the plan the engine built,
+// and the cost model prices that plan instead of planning again.
+// ----------------------------------------------------------------------
+
+int64_t
+planAttempts()
+{
+    return metrics::counter("plan.attempts").value();
+}
+
+TEST(PlanOnce, CostModelPricesTheAttachedPlans)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    Function f = kernels::gemm(128);
+    LayoutEngine eng({spec, 4});
+    auto stats = eng.run(f);
+    ASSERT_GE(stats.convertsPlanned, 1);
+    ASSERT_EQ(stats.planFailures, 0);
+
+    const int64_t before = planAttempts();
+    const KernelCost priced = estimateKernelCost(f, spec, 4);
+    EXPECT_EQ(planAttempts() - before, 0);
+
+    // The same IR without its plans (as if built by hand) is planned
+    // fresh, once per conversion, and priced bit-identically.
+    Function bare = f;
+    for (int i = 0; i < bare.numOps(); ++i)
+        bare.op(i).plan = nullptr;
+    const int64_t bareBefore = planAttempts();
+    const KernelCost fresh = estimateKernelCost(bare, spec, 4);
+    EXPECT_EQ(planAttempts() - bareBefore, stats.convertsPlanned);
+    EXPECT_EQ(fresh.cycles, priced.cycles);
+    EXPECT_EQ(fresh.toString(), priced.toString());
+}
+
+TEST(PlanOnce, OpPlanIsTheCachedPlan)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    service::PlanCache cache;
+    EngineOptions eo;
+    eo.spec = spec;
+    eo.planCache = &cache;
+    Function f = kernels::gemm(128);
+    auto stats = LayoutEngine(eo).run(f);
+    ASSERT_GE(stats.convertsPlanned, 1);
+
+    const std::string text = f.print();
+    int checked = 0;
+    for (int i = 0; i < f.numOps(); ++i) {
+        const ir::Op &o = f.op(i);
+        if (o.erased || o.kind != OpKind::ConvertLayout)
+            continue;
+        ASSERT_NE(o.plan, nullptr) << "op " << i;
+        const auto &src = *f.value(o.operands[0]).layout;
+        const auto &dst = *f.value(o.results[0]).layout;
+        auto hit = cache.peek(cache.key(
+            src, dst.transposeOuts(src.getOutDimNames()),
+            ir::byteWidth(f.value(o.results[0]).type.dtype), spec));
+        ASSERT_TRUE(hit.has_value()) << "op " << i;
+        EXPECT_EQ(hit->plan.get(), o.plan.get()) << "op " << i;
+        EXPECT_NE(text.find("convert_layout<" +
+                            codegen::toString(o.plan->kind) + ">"),
+                  std::string::npos)
+            << text;
+        ++checked;
+    }
+    EXPECT_EQ(checked, stats.convertsPlanned);
 }
 
 } // namespace

@@ -219,32 +219,9 @@ TEST(EngineValidation, DotOperandRejectsMismatchedShapes)
 }
 
 // --------------------------------------------------------------------
-// Fallback metadata: kind names round-trip through strings (the engine
-// tags ops "convert:<kind>") and failpoint sets round-trip through the
-// corpus text format (a shrunk reproducer must replay its injected
-// faults).
+// Fallback metadata: failpoint sets round-trip through the corpus text
+// format (a shrunk reproducer must replay its injected faults).
 // --------------------------------------------------------------------
-
-TEST(PlanMetadata, ConversionKindStringsRoundTrip)
-{
-    const codegen::ConversionKind kinds[] = {
-        codegen::ConversionKind::NoOp,
-        codegen::ConversionKind::RegisterPermute,
-        codegen::ConversionKind::WarpShuffle,
-        codegen::ConversionKind::SharedMemory,
-        codegen::ConversionKind::SharedPadded,
-        codegen::ConversionKind::SharedScalar,
-    };
-    for (auto k : kinds) {
-        auto s = codegen::toString(k);
-        EXPECT_FALSE(s.empty());
-        auto parsed = codegen::parseConversionKind(s);
-        ASSERT_TRUE(parsed.has_value()) << s;
-        EXPECT_EQ(*parsed, k) << s;
-    }
-    EXPECT_FALSE(codegen::parseConversionKind("unplanned").has_value());
-    EXPECT_FALSE(codegen::parseConversionKind("").has_value());
-}
 
 TEST(PlanMetadata, CaseIoPreservesFailpoints)
 {

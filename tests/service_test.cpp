@@ -509,15 +509,17 @@ TEST_F(ServiceTest, EngineDistinguishesPlanCacheFromSmokeCache)
     EXPECT_EQ(run2.planCacheMisses, 0);
     EXPECT_GT(run2.metrics.at("engine.plan_cache_hits"), 0);
 
-    // And the lowering is unchanged by cache placement: same tags.
-    std::vector<std::string> tags1, tags2;
+    // And the lowering is unchanged by cache placement: the warm run's
+    // ops carry the very plans the cold run published.
+    std::vector<const codegen::ConversionPlan *> plans1, plans2;
     for (int i = 0; i < f1.numOps(); ++i)
-        if (!f1.op(i).erased)
-            tags1.push_back(f1.op(i).tag);
+        if (!f1.op(i).erased && f1.op(i).plan)
+            plans1.push_back(f1.op(i).plan.get());
     for (int i = 0; i < f2.numOps(); ++i)
-        if (!f2.op(i).erased)
-            tags2.push_back(f2.op(i).tag);
-    EXPECT_EQ(tags1, tags2);
+        if (!f2.op(i).erased && f2.op(i).plan)
+            plans2.push_back(f2.op(i).plan.get());
+    EXPECT_EQ(static_cast<int>(plans1.size()), run1.convertsPlanned);
+    EXPECT_EQ(plans1, plans2);
 }
 
 TEST_F(ServiceTest, BatchDriverAggregatesExactlyThePerResponseStats)

@@ -16,6 +16,8 @@
  *   - eight concurrent engines with a shared plan cache produce
  *     identical assignments and identical conversion plans (the tsan
  *     target);
+ *   - a synthesized rerun against a warm plan cache plans nothing: the
+ *     trials plan through the cache and the winner keeps its plans;
  *   - every conversion a synthesized run leaves behind still passes the
  *     end-to-end tagged-buffer oracle, demotion loop included.
  */
@@ -33,6 +35,7 @@
 #include "engine/layout_engine.h"
 #include "kernels.h"
 #include "service/plan_cache.h"
+#include "support/metrics.h"
 #include "synth/candidates.h"
 #include "synth/synthesize.h"
 #include "triton/encodings.h"
@@ -234,16 +237,12 @@ TEST(SynthEngine, OffIsBitIdentical)
     }
 }
 
-// Serialize everything observable about one synthesized run: every
-// value layout, plus the describePlan digest of every surviving
-// conversion (re-planned deterministically from the endpoints).
+// Serialize everything observable about a compiled function: every
+// value layout, plus the describePlan digest of the plan each surviving
+// conversion carries.
 std::string
-runDigest(ir::Function f, const sim::GpuSpec &spec,
-          service::PlanCache *cache)
+compiledDigest(const ir::Function &f)
 {
-    engine::LayoutEngine eng(
-        optionsFor(spec, true, cache));
-    eng.run(f);
     std::string digest;
     for (int v = 0; v < f.numValues(); ++v) {
         if (f.value(v).layout)
@@ -253,16 +252,67 @@ runDigest(ir::Function f, const sim::GpuSpec &spec,
         const ir::Op &o = f.op(i);
         if (o.erased || o.kind != ir::OpKind::ConvertLayout)
             continue;
-        const auto &src = *f.value(o.operands[0]).layout;
-        const auto &dst = *f.value(o.results[0]).layout;
-        auto plan = codegen::tryPlanConversion(
-            src, dst.transposeOuts(src.getOutDimNames()),
-            ir::byteWidth(f.value(o.results[0]).type.dtype), spec);
-        digest += plan.ok() ? codegen::describePlan(*plan)
-                            : "unplanned";
+        digest += o.plan ? codegen::describePlan(*o.plan) : "unplanned";
         digest += "\n";
     }
     return digest;
+}
+
+// The digest of one synthesized run.
+std::string
+runDigest(ir::Function f, const sim::GpuSpec &spec,
+          service::PlanCache *cache)
+{
+    engine::LayoutEngine eng(
+        optionsFor(spec, true, cache));
+    eng.run(f);
+    return compiledDigest(f);
+}
+
+// Plan once: a synthesized run's trials plan through the shared cache
+// and the winner's plans ride on its ops, so a second run against the
+// warm cache (search, finalist repricing and the final estimate alike)
+// plans nothing, and compiles and prices exactly as the first run did.
+TEST(SynthEngine, WarmCacheRerunPlansNothing)
+{
+    auto &attempts = metrics::counter("plan.attempts");
+    for (const auto &spec :
+         {sim::GpuSpec::gh200(), sim::GpuSpec::mi250()}) {
+        service::PlanCache cache;
+        for (auto build : {+[] { return kernels::gemm(128); },
+                           +[] { return kernels::templateAttention(64); },
+                           +[] { return kernels::embedding(128); }}) {
+            ir::Function first = build();
+            auto firstStats =
+                engine::LayoutEngine(optionsFor(spec, true, &cache))
+                    .run(first);
+            const double firstCycles =
+                engine::estimateKernelCost(first, spec).cycles;
+
+            ir::Function second = build();
+            const int64_t before = attempts.value();
+            auto secondStats =
+                engine::LayoutEngine(optionsFor(spec, true, &cache))
+                    .run(second);
+            const double secondCycles =
+                engine::estimateKernelCost(second, spec).cycles;
+            EXPECT_EQ(attempts.value() - before, 0) << first.name();
+            EXPECT_EQ(secondStats.metrics.count("plan.attempts"), 0u)
+                << first.name();
+
+            EXPECT_GE(secondStats.synthAssignmentsEvaluated, 1);
+            EXPECT_EQ(secondStats.convertsPlanned,
+                      firstStats.convertsPlanned);
+            EXPECT_EQ(secondStats.planCacheHits,
+                      secondStats.convertsPlanned);
+            EXPECT_EQ(secondStats.synthChosenCycles,
+                      firstStats.synthChosenCycles);
+            EXPECT_EQ(secondCycles, firstCycles) << first.name();
+            EXPECT_EQ(secondCycles, secondStats.synthChosenCycles);
+            EXPECT_EQ(compiledDigest(second), compiledDigest(first))
+                << first.name();
+        }
+    }
 }
 
 // Eight engines race on the same shared plan cache; the chosen

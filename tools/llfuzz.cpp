@@ -635,7 +635,7 @@ runFailpointCoverage(const Options &opt)
  * includes "plan.scalar" — pairing it with a two-shot shared executor
  * fault walks SharedMemory -> SharedPadded -> (re-plan, terminal rung
  * knocked out) -> plan failure, the demote-then-plan-fail path the
- * engine downgrades to convert:unplanned. A deterministic probe of
+ * engine downgrades to an unplanned op. A deterministic probe of
  * exactly that pair runs after the random sweep so the terminal path
  * is exercised on every run regardless of what the sweep drew.
  */
@@ -690,8 +690,8 @@ runFailpointPairs(const Options &opt)
         }
         demotions += dr.demotions;
         if (!dr.survived) {
-            // The engine-survival outcome: the op would be tagged
-            // convert:unplanned and the engine carries on. Reaching it
+            // The engine-survival outcome: the op would be left
+            // unplanned and the engine carries on. Reaching it
             // here must not corrupt anything, so just count it.
             ++terminals;
             return true;

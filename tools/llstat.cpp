@@ -293,9 +293,8 @@ runCorpus(const Options &opt, ReplayTally &tally)
 
 /**
  * Run the kernel suite through the engine. With span checking on, every
- * live ConvertLayout op (tagged "convert:<kind>" or
- * "convert:unplanned" by planConversions) must have a "convert.op"
- * span whose "op" arg names its op index.
+ * live ConvertLayout op (planned or left unplanned by planConversions)
+ * must have a "convert.op" span whose "op" arg names its op index.
  */
 int
 runKernels(const Options &opt, ReplayTally &tally)
@@ -330,7 +329,9 @@ runKernels(const Options &opt, ReplayTally &tally)
             if (!found) {
                 ++violations;
                 std::cerr << "llstat: kernel " << spec.name << " op "
-                          << i << " (" << op.tag
+                          << i << " ("
+                          << (op.plan ? codegen::toString(op.plan->kind)
+                                      : "unplanned")
                           << ") has no convert.op span\n";
             }
         }
