@@ -95,12 +95,8 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 ++cost.localStores;
                 break;
             }
-            cost.cycles +=
-                plan ? plan->estimateCycles(*src.layout,
-                                            byteWidth(src.type.dtype), spec)
-                     : spec.sharedRoundTripCycles +
-                           2.0 * regCount(*src.layout) *
-                               spec.sharedWavefrontCycles;
+            cost.cycles += synth::conversionCycles(
+                plan.get(), *src.layout, src.type.dtype, spec);
             break;
           }
           case ir::OpKind::Dot: {

@@ -63,7 +63,7 @@ struct EngineOptions
     /** Search knobs for synthesizeLayouts. The planCache field is
      *  overwritten with EngineOptions::planCache at run time so edge
      *  pricing shares the engine's cache. */
-    synth::SynthOptions synthOptions;
+    synth::SynthOptions synthOptions{};
 };
 
 struct EngineStats

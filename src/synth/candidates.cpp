@@ -152,6 +152,16 @@ serveTensorConversion(service::PlanCache *cache, const LinearLayout &src,
                                     byteWidth(dtype), spec);
 }
 
+double
+conversionCycles(const codegen::ConversionPlan *plan,
+                 const LinearLayout &src, ir::DType dtype,
+                 const sim::GpuSpec &spec)
+{
+    return plan ? plan->estimateCycles(src, byteWidth(dtype), spec)
+                : spec.sharedRoundTripCycles +
+                      2.0 * regCount(src) * spec.sharedWavefrontCycles;
+}
+
 int64_t
 globalMemorySectors(const LinearLayout &layout, int elemBits,
                     const sim::GpuSpec &spec)

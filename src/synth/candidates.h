@@ -90,6 +90,17 @@ service::ConversionOutcome serveTensorConversion(service::PlanCache *cache,
                                                  const sim::GpuSpec &spec);
 
 /**
+ * Modeled cycles of converting a `dtype` tensor held in `src` with
+ * `plan`: the plan's estimateCycles, or, when there is no plan, a
+ * scalar shared round trip (one store and one load wavefront per source
+ * register). engine::estimateKernelCost and the synthesis pricer both
+ * charge exactly this.
+ */
+double conversionCycles(const codegen::ConversionPlan *plan,
+                        const LinearLayout &src, ir::DType dtype,
+                        const sim::GpuSpec &spec);
+
+/**
  * Global traffic (32-byte sectors) of one load or store of a tensor
  * held in `layout`: the representative warp's first access is replayed
  * through sim::GlobalMemory and scaled by instructions-per-thread and

@@ -1,11 +1,13 @@
 #include "synth/synthesize.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <string>
+#include <optional>
+#include <tuple>
+#include <unordered_map>
 
 #include "codegen/conversion.h"
-#include "layout/dims.h"
 #include "support/trace.h"
 
 namespace ll {
@@ -13,7 +15,6 @@ namespace synth {
 
 namespace {
 
-using dims::regCount;
 using ir::OpKind;
 
 /** A load or store whose traffic depends on anchor `anchorIdx`'s
@@ -51,29 +52,62 @@ struct CostTerms
 };
 
 /**
- * Plan-cache-backed conversion pricing, memoized per search. A pair
- * that proves to be a no-op costs zero; an unplannable pair is charged
- * a scalar shared round trip exactly like engine::estimateKernelCost
- * prices unplanned ConvertLayout ops.
+ * Dense integer ids for the layouts one search prices: every candidate
+ * and every fixed edge's other layout. Equal layouts (operator==) share
+ * an id, found through structuralHash(). Holds pointers, so the interned
+ * layouts must outlive it and stay put.
+ */
+class LayoutIds
+{
+  public:
+    int
+    intern(const LinearLayout &layout)
+    {
+        std::vector<int> &bucket = byHash_[layout.structuralHash()];
+        for (int id : bucket)
+            if (*layouts_[static_cast<size_t>(id)] == layout)
+                return id;
+        const int id = static_cast<int>(layouts_.size());
+        layouts_.push_back(&layout);
+        bucket.push_back(id);
+        return id;
+    }
+
+    const LinearLayout &
+    operator[](int id) const
+    {
+        return *layouts_[static_cast<size_t>(id)];
+    }
+
+  private:
+    std::unordered_map<uint64_t, std::vector<int>> byHash_;
+    std::vector<const LinearLayout *> layouts_;
+};
+
+/**
+ * Plan-cache-backed conversion pricing, memoized per search on
+ * (source id, destination id, element bytes). A pair that proves to be
+ * a no-op costs zero; any other is charged conversionCycles, which
+ * prices an unplannable pair exactly like engine::estimateKernelCost
+ * prices an unplanned ConvertLayout op.
  */
 class ConversionPricer
 {
   public:
-    ConversionPricer(const sim::GpuSpec &spec, service::PlanCache *cache)
-        : spec_(spec), cache_(cache)
+    ConversionPricer(const LayoutIds &ids, const sim::GpuSpec &spec,
+                     service::PlanCache *cache)
+        : ids_(ids), spec_(spec), cache_(cache)
     {
     }
 
     double
-    cycles(const LinearLayout &src, const LinearLayout &dst,
-           ir::DType dtype)
+    cycles(int srcId, int dstId, ir::DType dtype)
     {
-        const std::string key = src.toString() + "|" + dst.toString() +
-                                "|" + std::to_string(byteWidth(dtype));
+        const auto key = std::make_tuple(srcId, dstId, byteWidth(dtype));
         auto it = memo_.find(key);
         if (it != memo_.end())
             return it->second;
-        double cost = price(src, dst, dtype);
+        const double cost = price(ids_[srcId], ids_[dstId], dtype);
         memo_.emplace(key, cost);
         return cost;
     }
@@ -87,22 +121,21 @@ class ConversionPricer
             if (codegen::conversionIsNoOp(
                     src, dst.transposeOuts(src.getOutDimNames())))
                 return 0.0;
-            auto outcome =
-                serveTensorConversion(cache_, src, dst, dtype, spec_);
-            if (outcome.planned())
-                return outcome.plan->estimateCycles(
-                    src, byteWidth(dtype), spec_);
+            return conversionCycles(
+                serveTensorConversion(cache_, src, dst, dtype, spec_)
+                    .plan.get(),
+                src, dtype, spec_);
         } catch (const std::exception &) {
             // Incomparable layout spaces price like an unplannable
-            // conversion below.
+            // conversion.
+            return conversionCycles(nullptr, src, dtype, spec_);
         }
-        return spec_.sharedRoundTripCycles +
-               2.0 * regCount(src) * spec_.sharedWavefrontCycles;
     }
 
+    const LayoutIds &ids_;
     const sim::GpuSpec &spec_;
     service::PlanCache *cache_;
-    std::map<std::string, double> memo_;
+    std::map<std::tuple<int, int, int>, double> memo_;
 };
 
 CostTerms
@@ -193,6 +226,24 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
     return terms;
 }
 
+/** A node or fixed-edge term: its price under each candidate of the
+ *  one anchor it depends on. */
+struct UnaryTable
+{
+    int anchorIdx;
+    std::vector<double> cost;
+};
+
+/** A pair-edge term: its price under each (from, to) candidate pair,
+ *  filled on first use so the search prices exactly the pairs its beam
+ *  reaches. */
+struct PairTable
+{
+    PairEdge edge;
+    int numTo;
+    std::vector<std::optional<double>> cost;
+};
+
 /** Truncate the sorted, equal-length `states` to `width`, re-appending
  *  the all-defaults state when it would fall out (the never-worse
  *  invariant). */
@@ -242,44 +293,76 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
 
     CostTerms terms =
         collectCostTerms(f, prop, anchorIdx, spec, numWarps);
-    ConversionPricer pricer(spec, opt.planCache);
 
-    // Guide cost of a partial assignment: terms whose every anchor is
-    // already decided. Monotone in the prefix length, so beam pruning
-    // on it is meaningful.
-    auto partialCost = [&](const std::vector<int> &choice) {
-        const int assigned = static_cast<int>(choice.size());
-        auto layoutOf = [&](int idx) -> const LinearLayout & {
-            return result
-                .candidates[static_cast<size_t>(idx)]
-                          [static_cast<size_t>(
-                               choice[static_cast<size_t>(idx)])]
-                .layout;
-        };
-        double cost = 0.0;
-        for (const MemRef &m : terms.memRefs) {
-            if (m.anchorIdx >= assigned)
-                continue;
-            cost += static_cast<double>(globalMemorySectors(
-                        layoutOf(m.anchorIdx), m.elemBits, spec)) *
-                    spec.globalSectorCycles;
+    LayoutIds ids;
+    std::vector<std::vector<int>> candId(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        for (const LayoutCandidate &cand :
+             result.candidates[static_cast<size_t>(i)])
+            candId[static_cast<size_t>(i)].push_back(
+                ids.intern(cand.layout));
+    ConversionPricer pricer(ids, spec, opt.planCache);
+
+    // Price every node and fixed-edge term once per candidate, before
+    // the beam: it extends every candidate at every level anyway.
+    // Memory terms come first, then fixed edges, each in op order.
+    std::vector<UnaryTable> unary;
+    for (const MemRef &m : terms.memRefs) {
+        UnaryTable t{m.anchorIdx, {}};
+        for (const LayoutCandidate &cand :
+             result.candidates[static_cast<size_t>(m.anchorIdx)])
+            t.cost.push_back(static_cast<double>(globalMemorySectors(
+                                 cand.layout, m.elemBits, spec)) *
+                             spec.globalSectorCycles);
+        unary.push_back(std::move(t));
+    }
+    for (const FixedEdge &e : terms.fixedEdges) {
+        const int otherId = ids.intern(e.other);
+        UnaryTable t{e.anchorIdx, {}};
+        for (int id : candId[static_cast<size_t>(e.anchorIdx)])
+            t.cost.push_back(e.anchorIsSrc
+                                 ? pricer.cycles(id, otherId, e.dtype)
+                                 : pricer.cycles(otherId, id, e.dtype));
+        unary.push_back(std::move(t));
+    }
+    std::vector<PairTable> pairs;
+    for (const PairEdge &e : terms.pairEdges) {
+        const int numFrom = static_cast<int>(
+            result.candidates[static_cast<size_t>(e.fromIdx)].size());
+        const int numTo = static_cast<int>(
+            result.candidates[static_cast<size_t>(e.toIdx)].size());
+        pairs.push_back(
+            {e, numTo,
+             std::vector<std::optional<double>>(
+                 static_cast<size_t>(numFrom * numTo))});
+    }
+
+    // Each term completes at the level of its highest anchor index.
+    std::vector<std::vector<const UnaryTable *>> unaryAt(
+        static_cast<size_t>(n));
+    for (const UnaryTable &t : unary)
+        unaryAt[static_cast<size_t>(t.anchorIdx)].push_back(&t);
+    std::vector<std::vector<PairTable *>> pairsAt(static_cast<size_t>(n));
+    for (PairTable &t : pairs)
+        pairsAt[static_cast<size_t>(
+                    std::max(t.edge.fromIdx, t.edge.toIdx))]
+            .push_back(&t);
+    int pairsPriced = 0;
+    auto pairCost = [&](PairTable &t, const std::vector<int> &choice) {
+        const int from = choice[static_cast<size_t>(t.edge.fromIdx)];
+        const int to = choice[static_cast<size_t>(t.edge.toIdx)];
+        std::optional<double> &slot =
+            t.cost[static_cast<size_t>(from * t.numTo + to)];
+        if (!slot) {
+            slot = pricer.cycles(
+                candId[static_cast<size_t>(t.edge.fromIdx)]
+                      [static_cast<size_t>(from)],
+                candId[static_cast<size_t>(t.edge.toIdx)]
+                      [static_cast<size_t>(to)],
+                t.edge.dtype);
+            ++pairsPriced;
         }
-        for (const FixedEdge &e : terms.fixedEdges) {
-            if (e.anchorIdx >= assigned)
-                continue;
-            cost += e.anchorIsSrc
-                        ? pricer.cycles(layoutOf(e.anchorIdx), e.other,
-                                        e.dtype)
-                        : pricer.cycles(e.other, layoutOf(e.anchorIdx),
-                                        e.dtype);
-        }
-        for (const PairEdge &e : terms.pairEdges) {
-            if (e.fromIdx >= assigned || e.toIdx >= assigned)
-                continue;
-            cost += pricer.cycles(layoutOf(e.fromIdx),
-                                  layoutOf(e.toIdx), e.dtype);
-        }
-        return cost;
+        return *slot;
     };
 
     // Deterministic ordering: cost first, then the lexicographically
@@ -306,10 +389,16 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
             result.candidates[static_cast<size_t>(level)].size());
         for (const SynthAssignment &state : frontier) {
             for (int c = 0; c < numCands; ++c) {
-                SynthAssignment ext;
-                ext.choice = state.choice;
+                // Guide cost: the parent's plus the terms completing at
+                // this level. Monotone in the prefix length, so beam
+                // pruning on it is meaningful.
+                SynthAssignment ext{state.choice, state.cost};
                 ext.choice.push_back(c);
-                ext.cost = partialCost(ext.choice);
+                for (const UnaryTable *t :
+                     unaryAt[static_cast<size_t>(level)])
+                    ext.cost += t->cost[static_cast<size_t>(c)];
+                for (PairTable *t : pairsAt[static_cast<size_t>(level)])
+                    ext.cost += pairCost(*t, ext.choice);
                 ++result.statesExpanded;
                 next.push_back(std::move(ext));
             }
@@ -335,6 +424,11 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
         span.arg("states_expanded", result.statesExpanded);
         span.arg("exhaustive", result.exhaustive ? 1 : 0);
         span.arg("ranked", static_cast<int>(result.ranked.size()));
+        span.arg("mem_terms", static_cast<int>(terms.memRefs.size()));
+        span.arg("fixed_terms",
+                 static_cast<int>(terms.fixedEdges.size()));
+        span.arg("pair_terms", static_cast<int>(terms.pairEdges.size()));
+        span.arg("pairs_priced", pairsPriced);
     }
     return result;
 }

@@ -15,6 +15,13 @@
  *     conversion estimate between the two candidate layouts — zero
  *     when the pair proves to be a no-op over F_2.
  *
+ * Every term is priced into a dense table over candidate indices: node
+ * terms and fixed edges one row per term, filled before the search;
+ * pair edges one from x to table per term, filled lazily when the beam
+ * first reaches a slot. The layouts priced are interned to small
+ * integer ids per search (structuralHash() + operator==), and the
+ * conversion memo is keyed on (srcId, dstId, elemBytes).
+ *
  * Minimization is a beam search over anchors in op order with
  * deterministic tie-breaking (cost first, then the lexicographically
  * smallest choice vector), a configurable beam width, an exhaustive
@@ -22,7 +29,9 @@
  * invariant: the all-defaults assignment is force-retained in the beam
  * at every step, so the ranked finalists always contain today's
  * behavior and the engine can reprice synthesis against it (the
- * never-worse guarantee — see DESIGN.md §17).
+ * never-worse guarantee — see DESIGN.md §17). The beam is incremental:
+ * a state's guide cost is its parent's plus the table entries of the
+ * terms whose highest anchor index is the new level.
  *
  * The guide costs here are estimates; LayoutEngine re-prices the
  * finalists by actually compiling each one (assignment + cleanup +

@@ -22,6 +22,9 @@
  *     end-to-end tagged-buffer oracle, demotion loop included.
  */
 
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +39,7 @@
 #include "kernels.h"
 #include "service/plan_cache.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 #include "synth/candidates.h"
 #include "synth/synthesize.h"
 #include "triton/encodings.h"
@@ -174,6 +178,91 @@ TEST(SynthSearch, ExhaustiveSmallGraphIsSortedByCost)
     EXPECT_GE(result.defaultRank, 0);
 }
 
+// The synth.search span reports the term-table sizes and how many pair
+// slots the beam filled. An exhaustive search reaches every candidate
+// pair of its one pair edge, so it fills the whole table.
+TEST(SynthSearch, SpanReportsTermTables)
+{
+    ir::Function f("tiny");
+    int a = f.load({ir::DType::F16, {32, 64}}, "a");
+    int b = f.load({ir::DType::F32, {32, 64}}, "b");
+    f.store(f.elementwise({a, b}, ir::DType::F32, "add"), "out");
+
+    trace::setEnabled(true);
+    trace::clear();
+    auto result = synth::synthesizeAnchors(f, sim::GpuSpec::gh200(), 4,
+                                           synth::SynthOptions{});
+    auto events = trace::snapshotEvents();
+    trace::setEnabled(false);
+    trace::clear();
+
+    ASSERT_TRUE(result.exhaustive);
+    std::map<std::string, std::string> args;
+    for (const auto &e : events)
+        if (e.name == "synth.search")
+            for (const auto &arg : e.args)
+                args[arg.key] = arg.value;
+    EXPECT_EQ(args["mem_terms"], "3"); // two loads and the store
+    EXPECT_EQ(args["fixed_terms"], "0");
+    EXPECT_EQ(args["pair_terms"], "1"); // b converts into a's layout
+    EXPECT_EQ(args["pairs_priced"],
+              std::to_string(result.candidates[0].size() *
+                             result.candidates[1].size()));
+}
+
+// FNV-1a over everything a search decides: per search, every ranked
+// finalist's choice vector and guide-cost bit pattern, the default's
+// rank and the number of states expanded.
+uint64_t
+searchFingerprint(service::PlanCache *cache)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const auto &spec : {sim::GpuSpec::rtx4090(),
+                             sim::GpuSpec::gh200(),
+                             sim::GpuSpec::mi250()}) {
+        for (const auto &k : kernels::allKernels()) {
+            for (int32_t size : k.sizes) {
+                synth::SynthOptions so;
+                so.planCache = cache;
+                auto r = synth::synthesizeAnchors(k.build(size), spec,
+                                                  4, so);
+                mix(r.ranked.size());
+                for (const auto &a : r.ranked) {
+                    mix(a.choice.size());
+                    for (int c : a.choice)
+                        mix(static_cast<uint64_t>(c));
+                    uint64_t bits;
+                    std::memcpy(&bits, &a.cost, sizeof bits);
+                    mix(bits);
+                }
+                mix(static_cast<uint64_t>(r.defaultRank));
+                mix(static_cast<uint64_t>(r.statesExpanded));
+            }
+        }
+    }
+    return h;
+}
+
+// Search-level golden: the ranked finalists of every fig9 kernel at
+// every size on all three platforms, pinned bit for bit (costs
+// included), and the same whether edges are priced through no cache,
+// a cold cache or a warm one.
+TEST(SynthSearch, RankedFinalistsGoldenOnFig9)
+{
+    const uint64_t kGolden = 0xb67854232a1bf347ull;
+    const uint64_t uncached = searchFingerprint(nullptr);
+    EXPECT_EQ(uncached, kGolden) << std::hex << uncached;
+    service::PlanCache cache;
+    EXPECT_EQ(searchFingerprint(&cache), uncached) << "cold cache";
+    EXPECT_EQ(searchFingerprint(&cache), uncached) << "warm cache";
+}
+
 // The ISSUE's acceptance guarantee, enforced per kernel with the true
 // cost model: synthesis never prices worse than the propagation-only
 // engine on any fig9 kernel, never keeps more conversions, and
@@ -232,8 +321,9 @@ TEST(SynthEngine, OffIsBitIdentical)
         const auto &a = plain.value(v).layout;
         const auto &b = gated.value(v).layout;
         ASSERT_EQ(a.has_value(), b.has_value());
-        if (a)
+        if (a) {
             EXPECT_EQ(*a, *b) << "value " << v;
+        }
     }
 }
 

@@ -277,8 +277,9 @@ TEST(Trace, ChromeExportIsValidBalancedJson)
         EXPECT_TRUE(name->isString());
         // "args" is omitted for arg-less spans; when present it must
         // be an object.
-        if (const auto *args = e.find("args"))
+        if (const auto *args = e.find("args")) {
             EXPECT_TRUE(args->isObject());
+        }
     }
 
     // Balance check on the parsed output, per tid.
